@@ -285,12 +285,12 @@ fn run_timed(args: &Args, threads: usize) -> Timed {
             let mut setups = Vec::new();
             let setup = || Mega::setup(seed, sizes, &args.workdir, threads);
             let mega = timed_setup(SETUP_REPS, &mut setups, setup);
-            let (every, total) = (4 * mega.shard, mega.grid.n_jobs());
+            let (every, total) = (mega.shard, mega.grid.n_jobs());
             let between = || {
                 timed_setup(1, &mut setups, setup);
             };
             let (passes, peak_rss_mb) = timed_passes(args.seconds, between, |marks| {
-                // One segment per four shards, closed by its last delivery.
+                // One segment per shard, closed by its last delivery.
                 marks.mark();
                 let mut on_cell = |done: usize, _: usize| {
                     if done.is_multiple_of(every) || done == total {
