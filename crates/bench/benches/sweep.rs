@@ -1,5 +1,5 @@
 //! Sweep-engine throughput: the serial per-seed loop vs the
-//! work-stealing engine at increasing thread counts, over a
+//! chunk-claiming engine at increasing thread counts, over a
 //! representative Monte-Carlo seed sweep (one full CLAMShell batch run
 //! per seed). On a 4-core runner the 4-thread row should show ≥ 2× the
 //! serial throughput; the `threads1` row measures the engine's own

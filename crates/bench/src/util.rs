@@ -54,8 +54,8 @@ pub fn digit_specs(n_tasks: usize, ng: usize) -> Vec<TaskSpec> {
 ///
 /// Serial-compat shim over the sweep engine: the signature predates
 /// `clamshell-sweep` and is kept for callers that sweep a single
-/// config, but the work now fans across the engine's work-stealing
-/// pool (thread count from `CLAMSHELL_THREADS`, else available
+/// config, but the work now fans across the sweep engine's threads
+/// (thread count from `CLAMSHELL_THREADS`, else available
 /// parallelism). Reports are merged in seed order, so output is
 /// byte-identical to the old serial loop at any thread count.
 pub fn run_seeds(

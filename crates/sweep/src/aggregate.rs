@@ -19,7 +19,8 @@ use clamshell_sim::stats::OnlineStats;
 ///
 /// `consume` is called once per completed cell. Calls arrive in strictly
 /// increasing job-index order (with gaps only after a cancellation), on
-/// the coordinating thread — implementations need no synchronization.
+/// the thread that started the sweep — implementations need no
+/// synchronization.
 pub trait Aggregator {
     /// Fold one cell's report into the aggregate.
     fn consume(&mut self, meta: &JobMeta, report: &RunReport);

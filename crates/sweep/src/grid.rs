@@ -2,8 +2,7 @@
 
 use crate::aggregate::Aggregator;
 use crate::job::Job;
-use crate::persistent;
-use crate::pool::ExecStatus;
+use crate::pool::{self, ExecStatus};
 use crate::progress::{CancelToken, ProgressFn};
 use crate::threads;
 use clamshell_core::metrics::RunReport;
@@ -370,11 +369,10 @@ impl Grid {
     /// (`CLAMSHELL_THREADS`, else available parallelism). Skipped cells
     /// (after cancellation) are `None`.
     ///
-    /// Grid sweeps execute on the process-wide persistent
-    /// [`WorkerPool`](crate::persistent::WorkerPool) — threads spawned by
-    /// the first sweep are parked and reused by every later one — and
-    /// the merge still happens in job-index order, so reports are
-    /// byte-identical to a scoped (or serial) run at any thread count.
+    /// Grid sweeps execute on [`pool::execute_streaming`]: the calling
+    /// thread and `threads − 1` scoped helpers claim chunks of cells,
+    /// and the merge happens in job-index order, so reports are
+    /// byte-identical to a serial run at any thread count.
     pub fn run(
         &self,
         threads: Option<usize>,
@@ -393,8 +391,7 @@ impl Grid {
         self.validate()?;
         let mut out: Vec<Option<RunReport>> = Vec::with_capacity(self.n_jobs());
         out.resize_with(self.n_jobs(), || None);
-        let status = persistent::execute_streaming_pooled(
-            persistent::WorkerPool::global(),
+        let status = pool::execute_streaming(
             self.jobs(),
             threads::resolve(threads),
             cancel,
@@ -458,8 +455,7 @@ impl Grid {
         if let Err(e) = self.validate() {
             panic!("invalid grid: {e}");
         }
-        persistent::execute_streaming_pooled(
-            persistent::WorkerPool::global(),
+        pool::execute_streaming(
             self.jobs(),
             threads::resolve(threads),
             cancel,
@@ -642,23 +638,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reused_pool_is_byte_identical_across_sweeps() {
-        // Grid sweeps run on the process-wide persistent pool; two
-        // consecutive sweeps reuse the same parked threads and must
-        // produce byte-identical reports — which must in turn match the
-        // scoped (spawn-per-sweep) executor on the same job list.
-        let grid = small_grid();
-        let bytes = |rs: &[RunReport]| {
-            rs.iter().map(|r| serde_json::to_string(r).unwrap()).collect::<Vec<_>>()
-        };
-        let first = grid.run_all(Some(4));
-        let second = grid.run_all(Some(4));
-        assert_eq!(bytes(&first), bytes(&second));
-        let scoped = crate::pool::map(grid.jobs(), 4, |_, _, job: Job| job.run());
-        assert_eq!(bytes(&first), bytes(&scoped));
     }
 
     #[test]

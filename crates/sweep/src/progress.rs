@@ -32,8 +32,8 @@ impl CancelToken {
 /// A progress callback: invoked as `(completed, total)` after each job's
 /// result has been delivered (in job-index order) to the consumer.
 ///
-/// The callback runs on the coordinating thread, never on workers, so it
-/// may freely mutate captured state — e.g. print a progress bar, or call
+/// The callback runs on the thread that started the sweep, never on a
+/// helper thread, so it may freely mutate captured state — e.g. print a progress bar, or call
 /// [`CancelToken::cancel`] to stop the sweep mid-flight.
 pub type ProgressFn<'a> = &'a mut dyn FnMut(usize, usize);
 

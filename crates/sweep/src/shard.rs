@@ -3,10 +3,10 @@
 //! A million-cell grid cannot be materialized as one job list — the
 //! specs, configs, and population handles of every cell would sit in
 //! memory for the whole sweep. [`run_sharded`] instead walks the grid in
-//! bounded chunks ([`Grid::jobs_range`]), runs each chunk on the
-//! process-wide [`WorkerPool`](crate::persistent::WorkerPool), and folds
-//! results into one cumulative [`MetricsAggregator`] **in global
-//! job-index order**, so peak live memory is `O(shard)` while the final
+//! bounded chunks ([`Grid::jobs_range`]), runs each chunk through
+//! [`pool::execute_streaming`] (the calling thread plus scoped helpers
+//! claiming sub-chunks of cells), and folds results into one cumulative
+//! [`MetricsAggregator`] **in global job-index order**, so peak live memory is `O(shard)` while the final
 //! statistics are bit-identical to an unsharded (or fully serial) run.
 //!
 //! ## Why the fold is sequential, not merge-based
@@ -17,8 +17,8 @@
 //! aggregators merged at the end would therefore drift from the
 //! unsharded reference by a few ULPs — enough to break the workspace's
 //! byte-identity contract. The sharded executor sidesteps this entirely:
-//! shards run in index order, the reorder buffer inside the pool
-//! delivers each shard's reports in index order, and every report is
+//! shards run in index order, the executor's reorder buffer delivers
+//! each shard's reports in index order, and every report is
 //! pushed into the *same* cumulative aggregator. Sharding (and thread
 //! count, and resume) then cannot change a single bit of the result.
 //!
@@ -53,7 +53,7 @@
 use crate::aggregate::{Aggregator, MetricsAggregator, SnapshotShapeError};
 use crate::grid::{Grid, GridError};
 use crate::job::Job;
-use crate::persistent;
+use crate::pool;
 use crate::progress::{CancelToken, ProgressFn};
 use crate::threads;
 use clamshell_obs::Fnv;
@@ -458,8 +458,7 @@ pub fn run_sharded(
                 }
                 None => None,
             };
-            persistent::execute_streaming_pooled(
-                persistent::WorkerPool::global(),
+            pool::execute_streaming(
                 grid.jobs_range(lo, hi),
                 threads,
                 cancel,
