@@ -3,8 +3,8 @@
 //! ```text
 //! repro --list                 # show all experiments
 //! repro fig9 fig10             # run specific experiments
-//! repro --all                  # run everything (used to fill EXPERIMENTS.md)
-//! repro --all --quick          # smaller workloads, single seed
+//! repro --all                  # run everything
+//! repro --all --quick          # smaller workloads, single seed (EXPERIMENTS.md)
 //! repro fig9 --seeds 5         # average over 5 seeds
 //! repro --all --threads 4      # sweep-engine worker threads
 //! repro --scenario churn       # one adversity scenario vs benign
@@ -27,7 +27,8 @@
 //! `clamshell_obs::trace`); the recording draws no RNG values, so
 //! traced tables match untraced ones byte for byte.
 
-use clamshell_bench::{extra_registry, registry, util::json_str, util::Opts};
+use clamshell_bench::{extra_registry, registry, util::Opts};
+use clamshell_obs::json;
 
 /// Usage text shared by `--help` and the no-argument listing.
 const USAGE: &str = "\
@@ -53,7 +54,7 @@ usage: repro [--all] [--quick] [--seeds N] [--threads N] [--scenario NAME]
                    per event per (scenario, seed), in job order
   --format FMT     output format: text (default) or json; json applies
                    to --scenario and --list, and is rejected with --all
-                   (its stdout is the recorded EXPERIMENTS.md transcript)
+                   (`--all --quick` stdout is recorded in EXPERIMENTS.md)
   --list           list experiments and exit
   --help, -h       this message
 
@@ -150,7 +151,7 @@ fn main() {
         i += 1;
     }
 
-    // The --all transcript is the recorded EXPERIMENTS.md baseline;
+    // The --all --quick transcript is the recorded EXPERIMENTS.md baseline;
     // machine formats and traces must not ride on it.
     if run_all && json {
         eprintln!("--format json is not supported with --all (use --scenario or --list)");
@@ -219,8 +220,8 @@ fn main() {
                     .map(|(name, desc, _)| {
                         format!(
                             "\n    {{\"name\": {}, \"description\": {}}}",
-                            json_str(name),
-                            json_str(desc)
+                            json::quote(name),
+                            json::quote(desc)
                         )
                     })
                     .collect::<Vec<_>>()
@@ -254,7 +255,7 @@ fn main() {
             ran += 1;
         }
     }
-    // Extras never ride on --all (its stdout is the recorded
+    // Extras never ride on --all (its `--quick` stdout is the recorded
     // EXPERIMENTS.md transcript); they only run when named.
     for (name, _, f) in &extra {
         if picked.iter().any(|p| p == name) {

@@ -7,10 +7,10 @@
 //! arrivals, and heavy-tailed inflation. Run all scenarios via
 //! `repro adversity`, or a single one via `repro --scenario <name>`.
 
-use crate::util::{f2, header, json_str, mean_of, ratio, row, Opts};
+use crate::util::{f2, header, mean_of, ratio, row, Opts};
 use clamshell_core::metrics::RunReport;
 use clamshell_core::RunConfig;
-use clamshell_obs::ObsConfig;
+use clamshell_obs::{json, ObsConfig};
 use clamshell_scenarios::{catalog, find, ScenarioDef};
 use clamshell_sweep::Grid;
 use clamshell_trace::Population;
@@ -122,7 +122,7 @@ fn json_rows(defs: &[&ScenarioDef], grouped: &[Vec<RunReport>]) -> String {
         out.push_str(&format!(
             "        {{\"scenario\": {}, \"accuracy\": {acc:.4}, \"latency_secs\": {lat:.3}, \
              \"cost_usd\": {cost:.4}, \"workers_departed\": {departed:.2}}}",
-            json_str(def.name)
+            json::quote(def.name)
         ));
     }
     out
@@ -164,8 +164,8 @@ pub fn scenario_mode(
             json_sections.push_str(if k == 0 { "\n" } else { ",\n" });
             json_sections.push_str(&format!(
                 "    {{\"name\": {}, \"summary\": {}, \"rows\": [{}\n    ]}}",
-                json_str(def.name),
-                json_str(def.summary),
+                json::quote(def.name),
+                json::quote(def.summary),
                 json_rows(&defs, &grouped)
             ));
         } else {
@@ -257,10 +257,7 @@ mod tests {
             assert!(b.obs.is_some() && a.obs.is_none());
             let mut stripped = b.clone();
             stripped.obs = None;
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(&stripped).unwrap()
-            );
+            assert_eq!(*a, stripped);
         }
     }
 }

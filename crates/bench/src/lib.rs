@@ -13,7 +13,8 @@
 //! Shape, not absolute numbers: the paper measured live Mechanical Turk
 //! workers; this harness drives the calibrated simulator. Each experiment
 //! states the paper's qualitative/ratio claim and reports the measured
-//! analogue (see EXPERIMENTS.md for the recorded outcomes).
+//! analogue (see EXPERIMENTS.md for the recorded `repro --all --quick`
+//! outcomes).
 
 #![warn(missing_docs)]
 
@@ -85,7 +86,7 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
-/// Experiments that postdate the recorded `--all` transcript in
+/// Experiments that postdate the recorded `--all --quick` transcript in
 /// EXPERIMENTS.md: runnable by name and shown by `--list`, but excluded
 /// from `--all` so its stdout stays byte-stable.
 pub fn extra_registry() -> Vec<Experiment> {

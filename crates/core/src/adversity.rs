@@ -24,13 +24,12 @@
 
 use clamshell_crowd::LatencyInflation;
 use clamshell_trace::ArchetypeMix;
-use serde::{Deserialize, Serialize};
 
 /// Mid-assignment worker churn: with probability `walkout_prob`, a
 /// dispatched assignment is silently abandoned partway through — the
 /// worker walks out of the retainer pool (no answer, no submission) and
 /// the runner must re-recruit and re-cover the task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnFault {
     /// Probability that any given assignment ends in a walkout.
     pub walkout_prob: f64,
@@ -61,7 +60,7 @@ impl ChurnFault {
 /// (exponential around the configured means). During a blackout the
 /// platform accepts no submissions and admits no recruits — affected
 /// events are deferred to the recovery instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageFault {
     /// Mean seconds of up-time between outages.
     pub mean_uptime_secs: f64,
@@ -88,7 +87,7 @@ impl OutageFault {
 /// `[min_batch, max_batch]` on a dedicated stream — alternating
 /// trickles and floods, the arrival pattern interactive front-ends
 /// actually produce.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstFault {
     /// Smallest burst size.
     pub min_batch: usize,
@@ -113,7 +112,7 @@ impl BurstFault {
 
 /// The full adversity layer of a run: any subset of the faults, all
 /// deterministic, all composable. See the module docs for the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdversityConfig {
     /// Spammer / adversarial / sleepy worker overlays (platform level).
     pub archetypes: Option<ArchetypeMix>,

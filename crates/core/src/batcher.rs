@@ -13,11 +13,10 @@ use crate::metrics::RunReport;
 use crate::runner::Runner;
 use crate::task::TaskSpec;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Batch-formation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatcherConfig {
     /// Release a batch as soon as this many tasks are pending.
     pub batch_size: usize,

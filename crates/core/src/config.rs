@@ -11,14 +11,13 @@
 
 use crate::lifeguard::RoutingPolicy;
 use clamshell_crowd::PlatformConfig;
-use serde::{Deserialize, Serialize};
 
 pub use clamshell_crowd::{CheckoutStrategy, PoolConfig};
 pub use clamshell_obs::ObsConfig;
 
 /// How straggler mitigation interacts with redundancy-based quality
 /// control (§4.1 "Working with Quality Control").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QcMode {
     /// CLAMShell's approach: a task needing `v` more answers may hold at
     /// most `v + 1` concurrent assignments — mitigation adds "only single
@@ -31,7 +30,7 @@ pub enum QcMode {
 }
 
 /// Straggler-mitigation settings (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerConfig {
     /// Which active task an idle worker is routed to. The paper finds
     /// `Random` performs as well as `Oracle`; we default to `Random` and
@@ -61,7 +60,7 @@ impl Default for StragglerConfig {
 /// maintain a pool using quality (estimated using, e.g., inter-worker
 /// agreement) to converge to a high-quality pool, \[or\] use a weighted
 /// average to trade off quality and speed".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MaintenanceObjective {
     /// Evict on latency only (the paper's main configuration).
     Speed,
@@ -80,7 +79,7 @@ pub enum MaintenanceObjective {
 }
 
 /// Pool-maintenance settings (§4.2–§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceConfig {
     /// `PMℓ`: per-label latency threshold in seconds; workers
     /// significantly above it are eviction candidates. The paper's
@@ -126,7 +125,7 @@ impl MaintenanceConfig {
 }
 
 /// Full configuration of a labeling run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// `Np`: retainer-pool size.
     pub pool_size: usize,

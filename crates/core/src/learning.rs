@@ -29,11 +29,10 @@ use clamshell_learn::{Dataset, LogisticRegression, SoftmaxRegression};
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::{SimDuration, SimTime};
 use clamshell_trace::Population;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Point-selection strategy (`Alg` in Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Pure active learning with a fixed selection batch size `k`.
     Active {
@@ -66,7 +65,7 @@ impl Strategy {
 }
 
 /// Learning-loop configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearningConfig {
     /// The selection strategy.
     pub strategy: Strategy,

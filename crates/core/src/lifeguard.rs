@@ -13,10 +13,9 @@
 use crate::task::{StateView, TaskId};
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Which active task an idle worker duplicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Uniformly random eligible active task (the paper's default — as
     /// good as Oracle).

@@ -4,13 +4,12 @@
 use crate::config::MaintenanceConfig;
 use clamshell_crowd::WorkerId;
 use clamshell_sim::stats::OnlineStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Empirical latency bookkeeping for one worker. All latencies are
 /// **seconds per label** (task latency divided by `Ng`), matching the
 /// per-label thresholds of Figures 5, 7 and 8.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
     /// Per-label latency of *completed* tasks (the `l_{s,Tc}` sample).
     pub completed: OnlineStats,
@@ -123,7 +122,7 @@ impl WorkerStats {
 }
 
 /// The Maintainer: accumulates [`WorkerStats`] and decides evictions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Maintainer {
     stats: BTreeMap<WorkerId, WorkerStats>,
     /// Total workers evicted so far (for Figures 7 and 14).

@@ -1,13 +1,12 @@
 //! Run reports: everything the figures consume.
 
 use clamshell_crowd::{CostLedger, WorkerId};
-use clamshell_obs::ObsReport;
+use clamshell_obs::{Fnv, ObsReport};
 use clamshell_sim::stats::Summary;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One completed task, as logged for Figures 3, 5, 10, 13.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskRecord {
     /// Task index within the run.
     pub task: u32,
@@ -42,10 +41,31 @@ impl TaskRecord {
     pub fn latency_per_label_secs(&self) -> f64 {
         self.winner_span.as_secs_f64() / self.ng.max(1) as f64
     }
+
+    /// Fold the row's fingerprint words into `h`: every field that
+    /// identifies the task's scheduling outcome, one `u64` each. The
+    /// golden suite's report fingerprint and the stream checkpoint
+    /// digests both hash rows through this one definition, so editing
+    /// any of the three row lists changes committed goldens.
+    pub fn digest_into(&self, h: &mut Fnv) {
+        for w in [
+            self.task as u64,
+            self.batch as u64,
+            self.ng as u64,
+            self.created.as_millis(),
+            self.completed.as_millis(),
+            self.winner.0 as u64,
+            self.winner_span.as_millis(),
+            self.winner_age as u64,
+            self.correct as u64,
+        ] {
+            h.word(w);
+        }
+    }
 }
 
 /// One assignment, as logged for Figure 13's Gantt view.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentRecord {
     /// Task index.
     pub task: u32,
@@ -61,8 +81,24 @@ pub struct AssignmentRecord {
     pub terminated: bool,
 }
 
+impl AssignmentRecord {
+    /// Fold the row's fingerprint words into `h` (see
+    /// [`TaskRecord::digest_into`]).
+    pub fn digest_into(&self, h: &mut Fnv) {
+        for w in [
+            self.task as u64,
+            self.worker.0 as u64,
+            self.start.as_millis(),
+            self.end.as_millis(),
+            self.terminated as u64,
+        ] {
+            h.word(w);
+        }
+    }
+}
+
 /// Per-batch aggregates (Figures 6, 9).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchStats {
     /// Batch index.
     pub index: usize,
@@ -88,10 +124,24 @@ impl BatchStats {
     pub fn makespan_secs(&self) -> f64 {
         self.end.since(self.start).as_secs_f64()
     }
+
+    /// Fold the row's fingerprint words into `h` (see
+    /// [`TaskRecord::digest_into`]): the integer columns only.
+    pub fn digest_into(&self, h: &mut Fnv) {
+        for w in [
+            self.index as u64,
+            self.start.as_millis(),
+            self.end.as_millis(),
+            self.tasks as u64,
+            self.evicted as u64,
+        ] {
+            h.word(w);
+        }
+    }
 }
 
 /// The full output of a labeling run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Per-task log.
     pub tasks: Vec<TaskRecord>,

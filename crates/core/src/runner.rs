@@ -409,7 +409,7 @@ impl Runner {
             self.platform.pay_wait(now.since(since));
         }
         // Fold the pool's transition aggregates into the registry, then
-        // collapse the observer into its serializable report.
+        // collapse the observer into its owned report.
         let obs_report = self.obs.take().map(|mut obs| {
             if let Some(pool_obs) = self.pool.obs() {
                 obs.absorb_pool(pool_obs);
@@ -1423,14 +1423,14 @@ mod tests {
     fn deterministic_reports() {
         let a = run_batched(base_cfg(7), pop(), specs(16, 5), 8);
         let b = run_batched(base_cfg(7), pop(), specs(16, 5), 8);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(a, b);
     }
 
     #[test]
     fn seeds_change_outcomes() {
         let a = run_batched(base_cfg(8), pop(), specs(16, 5), 8);
         let b = run_batched(base_cfg(9), pop(), specs(16, 5), 8);
-        assert_ne!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -1634,7 +1634,7 @@ mod tests {
         };
         let a = run_batched(base_cfg(30), pop(), specs(16, 5), 8);
         let b = run_batched(explicit, pop(), specs(16, 5), 8);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(a, b);
         assert_eq!(a.reserve_expired, 0);
         assert_eq!(a.stale_retired, 0);
     }
@@ -1648,15 +1648,8 @@ mod tests {
         let fifo = run_batched(base_cfg(37), pop(), specs(24, 5), 4);
         let lifo_a = run_batched(lifo_cfg(), pop(), specs(24, 5), 4);
         let lifo_b = run_batched(lifo_cfg(), pop(), specs(24, 5), 4);
-        assert_eq!(
-            serde_json::to_string(&lifo_a).unwrap(),
-            serde_json::to_string(&lifo_b).unwrap()
-        );
-        assert_ne!(
-            serde_json::to_string(&fifo).unwrap(),
-            serde_json::to_string(&lifo_a).unwrap(),
-            "with 8 members and 4-task batches, checkout order must matter"
-        );
+        assert_eq!(lifo_a, lifo_b);
+        assert_ne!(fifo, lifo_a, "with 8 members and 4-task batches, checkout order must matter");
         assert_eq!(lifo_a.tasks.len(), 24, "every task completes under LIFO too");
     }
 
@@ -1688,7 +1681,7 @@ mod tests {
         assert!(report.reserve_expired > 0, "a 30s timeout must release reserve workers");
         assert_eq!(report.tasks.len(), 16, "releases never block completion");
         let again = run();
-        assert_eq!(serde_json::to_string(&report).unwrap(), serde_json::to_string(&again).unwrap());
+        assert_eq!(report, again);
     }
 
     #[test]
@@ -1750,17 +1743,14 @@ mod tests {
     #[test]
     fn obs_enabled_does_not_perturb_the_simulation() {
         // The whole zero-overhead contract in one assertion: strip the
-        // obs ride-along and the instrumented report is byte-identical
+        // obs ride-along and the instrumented report is identical
         // to the plain one — same RNG draws, same schedule, same costs.
         let plain = run_batched(base_cfg(41), pop(), specs(16, 5), 8);
         let cfg = RunConfig { obs: ObsConfig::on(), ..base_cfg(41) };
         let mut instrumented = run_batched(cfg, pop(), specs(16, 5), 8);
         let obs = instrumented.obs.take().expect("enabled run must attach obs");
         assert!(!obs.events.is_empty(), "an instrumented run records events");
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&instrumented).unwrap()
-        );
+        assert_eq!(plain, instrumented);
     }
 
     #[test]
@@ -1823,10 +1813,7 @@ mod tests {
     fn empty_adversity_is_bit_identical_to_none() {
         let plain = run_batched(base_cfg(20), pop(), specs(16, 5), 8);
         let layered = run_batched(adv_cfg(20, AdversityConfig::NONE), pop(), specs(16, 5), 8);
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&layered).unwrap()
-        );
+        assert_eq!(plain, layered);
     }
 
     #[test]
@@ -1859,7 +1846,7 @@ mod tests {
         };
         let a = run_batched(cfg(), pop(), specs(16, 5), 8);
         let b = run_batched(cfg(), pop(), specs(16, 5), 8);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1905,7 +1892,7 @@ mod tests {
         );
         assert_eq!(report.tasks.len(), 24, "lazy retirement never blocks completion");
         let again = run_batched(cfg(), pop(), specs(24, 5), 8);
-        assert_eq!(serde_json::to_string(&report).unwrap(), serde_json::to_string(&again).unwrap());
+        assert_eq!(report, again);
         // Generations off: same outage schedule, zero retirements.
         let plain = RunConfig { pool: PoolConfig::default(), ..cfg() };
         let baseline = run_batched(plain, pop(), specs(24, 5), 8);
@@ -1951,7 +1938,7 @@ mod tests {
         let a = run_batched(cfg(), pop(), specs(24, 5), 8);
         let b = run_batched(cfg(), pop(), specs(24, 5), 8);
         assert_eq!(a.tasks.len(), 24);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(a, b);
     }
 
     #[test]

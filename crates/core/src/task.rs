@@ -7,20 +7,19 @@
 
 use clamshell_crowd::WorkerId;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Task identifier (index into the runner's task table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 /// Assignment identifier (index into the runner's assignment table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AssignmentId(pub u32);
 
 /// The immutable description of a labeling task: the ground-truth classes
 /// of the `Ng` records grouped into it. (Ground truth exists only inside
 /// the simulator — workers sample noisy answers from it.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
     /// True class of each record in the task.
     pub truths: Vec<u32>,
@@ -60,7 +59,7 @@ impl TaskSpec {
 /// [`LabelSpan::slice`] against the owning runner's arena; spans are
 /// only meaningful against the arena they were created in, and die with
 /// their tasks when the runner retires completed state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelSpan {
     /// Arena offset of the first label.
     pub start: u32,
@@ -81,7 +80,7 @@ impl LabelSpan {
 }
 
 /// One completed answer for a task.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskResponse {
     /// Who answered.
     pub worker: WorkerId,
@@ -98,7 +97,7 @@ pub struct TaskResponse {
 }
 
 /// Lifecycle state of a task (§4.1's unassigned / active / complete).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskPhase {
     /// No assignment yet.
     Unassigned,
@@ -109,7 +108,7 @@ pub enum TaskPhase {
 }
 
 /// Mutable task state tracked by the runner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskState {
     /// The task description.
     pub spec: TaskSpec,
@@ -179,7 +178,7 @@ impl TaskState {
 }
 
 /// One worker × task execution attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// Its id.
     pub id: AssignmentId,

@@ -11,11 +11,10 @@ use crate::payment::CostLedger;
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimDuration;
 use clamshell_trace::{Population, WorkerProfile};
-use serde::{Deserialize, Serialize};
 
 /// Opaque identifier of a recruited worker. Ordered, so collections keyed
 /// by `WorkerId` iterate deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkerId(pub u32);
 
 impl std::fmt::Display for WorkerId {
@@ -26,7 +25,7 @@ impl std::fmt::Display for WorkerId {
 
 /// Mechanism-level platform parameters (all from §6.1 of the paper unless
 /// noted).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
     /// Dollars per minute paid to workers waiting in the retainer pool
     /// ($0.05).

@@ -30,12 +30,11 @@
 use crate::platform::WorkerId;
 use clamshell_obs::PoolObs;
 use clamshell_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Order in which idle members are handed new work when a batch opens or
 /// coverage is lost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CheckoutStrategy {
     /// "Even wear": longest-idle member first. Every member keeps cycling
     /// through work, so wait-pay accrual and practice effects spread
@@ -52,7 +51,7 @@ pub enum CheckoutStrategy {
 /// mechanism inert: no floor (`min_size = None` ⇒ replenish to
 /// capacity), FIFO checkout, no idle timeout, generations off — runs are
 /// byte-identical to the pre-lifecycle pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolConfig {
     /// Replenishment floor. Background recruitment keeps the pool at this
     /// size; demand surges may promote reserve workers up to `capacity`.
@@ -71,7 +70,7 @@ pub struct PoolConfig {
 }
 
 /// The state of one pool member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberState {
     /// Idle in the pool since the given time (accruing wait pay).
     Waiting {
@@ -86,7 +85,7 @@ pub enum MemberState {
 }
 
 /// Per-member bookkeeping.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Member {
     /// Current state.
     pub state: MemberState,
@@ -102,7 +101,7 @@ pub struct Member {
 }
 
 /// A bounded retainer pool with lifecycle semantics (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RetainerPool {
     capacity: usize,
     config: PoolConfig,

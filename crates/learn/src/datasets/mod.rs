@@ -18,10 +18,9 @@ pub mod objects;
 
 use crate::eval::train_test_split;
 use crate::linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A labeled classification dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Feature matrix, one row per item.
     pub features: Matrix,

@@ -15,7 +15,6 @@
 use super::Dataset;
 use crate::linalg::Matrix;
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Image side length (32 → 32×32×3 = 3072 features, matching CIFAR).
 pub const SIDE: usize = 32;
@@ -26,7 +25,7 @@ pub const AIRPLANE: u32 = 0;
 pub const BIRD: u32 = 1;
 
 /// Configuration for the objects generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectsConfig {
     /// Number of images.
     pub n_samples: usize,

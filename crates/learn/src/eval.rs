@@ -3,7 +3,6 @@
 use crate::linalg::Matrix;
 use crate::model::Classifier;
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of `rows` whose prediction matches `labels`.
 pub fn accuracy<C: Classifier + ?Sized>(
@@ -33,7 +32,7 @@ pub fn train_test_split(n: usize, test_frac: f64, seed: u64) -> (Vec<usize>, Vec
 /// One observation on a learning curve: after `labels_acquired` labels
 /// (at `time_secs` of simulated time, where applicable), the model scored
 /// `test_accuracy` on a held-out set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Simulated seconds since the run began (0 for label-indexed curves).
     pub time_secs: f64,
@@ -44,7 +43,7 @@ pub struct CurvePoint {
 }
 
 /// A full learning curve.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LearningCurve {
     /// Curve observations, in acquisition order.
     pub points: Vec<CurvePoint>,

@@ -6,10 +6,8 @@
 //! reproduction top out at 3072 (the CIFAR-like task), well within scalar
 //! throughput for the training-set sizes involved (≤ a few thousand rows).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

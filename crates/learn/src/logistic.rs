@@ -7,10 +7,9 @@
 use crate::linalg::{axpy, dot, sigmoid, Matrix};
 use crate::model::{Classifier, Example, SgdConfig};
 use clamshell_sim::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Binary logistic regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     config: SgdConfig,
     weights: Vec<f64>,

@@ -1,14 +1,13 @@
 //! The classifier abstraction shared by learners and selection strategies.
 
 use crate::linalg::{argmax, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// One training example: a row of the feature matrix, its (crowd-provided)
 /// label, and a weight.
 ///
 /// Hybrid learning weights points by the active-to-passive ratio `k/p`
 /// (§5.1 "Model Retraining"), so weights are first-class here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Example {
     /// Row index into the feature matrix.
     pub row: usize,
@@ -31,7 +30,7 @@ impl Example {
 }
 
 /// Hyper-parameters for the SGD learners.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Initial learning rate.
     pub learning_rate: f64,

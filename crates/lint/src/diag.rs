@@ -153,7 +153,9 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
-/// Minimal JSON string encoder (the crate is dependency-free).
+/// Minimal JSON string encoder, a deliberate copy of
+/// `clamshell_obs::json::quote`: the linter has no dependencies and runs
+/// first in CI, before the crates it lints have been built.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -19,8 +19,13 @@
 //! * [`ObsConfig`] — the switch on `RunConfig`. Off by default; when off
 //!   the runner holds no observer at all, draws zero extra RNG values,
 //!   and produces byte-identical reports to an un-instrumented build.
+//!
+//! Beside them sit the workspace's two shared encoders: [`Fnv`], the
+//! one FNV-1a hasher behind every fingerprint, and [`json`], the one
+//! JSON string escaper and golden-file array layout.
 
 pub mod config;
+pub mod json;
 pub mod name;
 mod observer;
 pub mod pool;

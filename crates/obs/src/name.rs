@@ -7,12 +7,10 @@
 //! so instrumentation sites reference these consts rather than re-typing
 //! strings, and two subsystems can never silently share a name.
 
-use serde::{Deserialize, Serialize};
-
 /// Key for a counter, gauge, or histogram in the [`MetricsRegistry`].
 ///
 /// [`MetricsRegistry`]: crate::MetricsRegistry
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricName(pub &'static str);
 
 impl MetricName {
@@ -22,7 +20,7 @@ impl MetricName {
 }
 
 /// The `"ev"` discriminator of a JSONL trace line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventName(pub &'static str);
 
 impl EventName {

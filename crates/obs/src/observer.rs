@@ -1,10 +1,9 @@
 //! The per-run observer owned by an enabled `Runner`, and the
-//! serializable [`ObsReport`] it collapses into at `finish()`.
+//! owned [`ObsReport`] it collapses into at `finish()`.
 
 use std::io::Write;
 
 use clamshell_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::config::ObsConfig;
 use crate::name::names;
@@ -115,7 +114,7 @@ impl RunObserver {
         );
     }
 
-    /// Collapse into the serializable report that rides on `RunReport`.
+    /// Collapse into the owned report that rides on `RunReport`.
     pub fn into_report(mut self) -> ObsReport {
         self.fold_hot_state();
         let recorded = self.recorder.recorded();
@@ -154,10 +153,10 @@ impl RunObserver {
     }
 }
 
-/// The serializable observability report attached to `RunReport` when
-/// obs is enabled (`None` otherwise, keeping disabled reports
-/// byte-identical to pre-obs builds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The observability report attached to `RunReport` when obs is
+/// enabled (`None` otherwise, keeping disabled reports identical to
+/// pre-obs builds).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsReport {
     /// Trace schema version the events were recorded under.
     pub schema: u32,

@@ -1,16 +1,14 @@
 //! Per-pool transition counters carried inside `crowd::RetainerPool`.
 //!
 //! The pool cannot depend on the runner's observer (it is a value type
-//! that gets cloned and serialized with the rest of the runner state),
+//! that gets cloned with the rest of the runner state),
 //! so an enabled pool carries this small struct and the runner folds it
 //! into the shared registry at `finish()`.
-
-use serde::{Deserialize, Serialize};
 
 use crate::registry::OCCUPANCY_BOUNDS;
 
 /// Counters and an occupancy distribution for one retainer pool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolObs {
     pub joins: u64,
     pub leaves: u64,

@@ -9,14 +9,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::{names, EventName, MetricName};
 
 /// One structured runner event. All ids are raw (`WorkerId.0`,
 /// `TaskId.0`, `AssignmentId.0`) so this crate stays dependency-light;
 /// all times are simulated milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A pooled worker left `Waiting` and started work; `waited_ms` is
     /// the retainer time paid for.
@@ -130,7 +128,7 @@ pub const KIND_COUNTERS: [MetricName; TraceKind::COUNT] = [
 ];
 
 /// A recorded event: global sequence number + sim-time millisecond stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub seq: u64,
     pub at_ms: u64,

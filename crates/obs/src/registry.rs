@@ -1,14 +1,12 @@
 //! Sim-time metrics registry: counters, gauges, fixed-bucket histograms.
 //!
 //! All storage is ordered (`BTreeMap` keyed by the `&'static str` behind
-//! a [`MetricName`]), so iteration — and therefore serialization and the
-//! trace fingerprint — is deterministic. There are no wall-clock reads
+//! a [`MetricName`]), so iteration — and therefore every rendering and
+//! the trace fingerprint — is deterministic. There are no wall-clock reads
 //! anywhere: values are observed at simulation timestamps supplied by
 //! the caller, and the registry itself stores no times at all.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::name::MetricName;
 
@@ -57,7 +55,7 @@ impl Histogram {
 
 /// The live registry held by an enabled runner. Keys are `&'static str`
 /// (zero-copy, D001-clean ordered storage); [`MetricsRegistry::snapshot`]
-/// converts to owned strings for the serializable ride-along report.
+/// converts to owned strings for the ride-along report.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -132,20 +130,20 @@ impl MetricsRegistry {
     }
 }
 
-/// Owned, serializable histogram state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Owned histogram state.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     pub bounds: Vec<u64>,
     pub counts: Vec<u64>,
 }
 
-/// Owned, serializable registry state. This is what rides along on
+/// Owned registry state. This is what rides along on
 /// `RunReport` and what `sweep` folds across jobs: counters add,
 /// high-water gauges take the max, histograms add bucket-wise — all
 /// associative and commutative, so a parallel sweep folding per-job
 /// snapshots in job-index order reduces to the same value as a serial
 /// one (the same contract `OnlineStats::merge` upholds).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,

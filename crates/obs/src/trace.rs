@@ -20,13 +20,14 @@
 
 use std::fmt::Write as _;
 
+use crate::json;
 use crate::recorder::{TraceEvent, TraceKind};
 
 /// Bump on any change to line shape or field order.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// 64-bit FNV-1a, same constants as the report fingerprints in
-/// `clamshell-scenarios`.
+/// 64-bit FNV-1a: the workspace's one hasher for trace, report and
+/// stream-checkpoint fingerprints.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -40,10 +41,12 @@ impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+    /// Fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
         Fnv(Self::OFFSET)
     }
 
+    /// Fold `bytes` in order.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -51,6 +54,12 @@ impl Fnv {
         }
     }
 
+    /// Fold one `u64` as its eight little-endian bytes.
+    pub fn word(&mut self, w: u64) {
+        self.write(&w.to_le_bytes());
+    }
+
+    /// The hash of everything folded so far.
     pub fn finish(&self) -> u64 {
         self.0
     }
@@ -121,12 +130,12 @@ pub fn render_event(event: &TraceEvent) -> String {
 pub fn fingerprint_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> u64 {
     let mut fnv = Fnv::new();
     for event in events {
-        fnv.write(&event.seq.to_le_bytes());
-        fnv.write(&event.at_ms.to_le_bytes());
+        fnv.word(event.seq);
+        fnv.word(event.at_ms);
         fnv.write(&[event.kind.index() as u8]);
         let (values, n) = event.kind.field_values();
-        for value in &values[..n] {
-            fnv.write(&value.to_le_bytes());
+        for &value in &values[..n] {
+            fnv.word(value);
         }
     }
     fnv.finish()
@@ -142,9 +151,9 @@ pub fn render_header(
     fingerprint: u64,
 ) -> String {
     format!(
-        "{{\"v\":{},\"stream\":\"clamshell-trace\",\"scenario\":\"{}\",\"seed\":{},\"events\":{},\"recorded\":{},\"dropped\":{},\"fingerprint\":\"{}\"}}",
+        "{{\"v\":{},\"stream\":\"clamshell-trace\",\"scenario\":{},\"seed\":{},\"events\":{},\"recorded\":{},\"dropped\":{},\"fingerprint\":\"{}\"}}",
         TRACE_SCHEMA_VERSION,
-        escape(scenario),
+        json::quote(scenario),
         seed,
         events,
         recorded,
@@ -153,32 +162,15 @@ pub fn render_header(
     )
 }
 
-/// Minimal JSON string escape; scenario names are plain slugs but the
-/// renderer must never emit malformed JSON regardless.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Minimal structural check for the flat (non-nested) objects this
     /// renderer emits: balanced outer braces, well-paired quotes, and
-    /// `"key":value` comma separation. The vendored serde_json has no
-    /// parser, so the CI schema validation uses python3; this keeps a
-    /// sanity net inside the crate too.
+    /// `"key":value` comma separation. The workspace has no JSON parser,
+    /// so the CI schema validation uses python3; this keeps a sanity net
+    /// inside the crate too.
     fn assert_flat_json_object(line: &str) {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         let body = &line[1..line.len() - 1];

@@ -6,12 +6,11 @@
 //! module provides that estimator: for each worker, the fraction of their
 //! answers that agree with a co-worker's answer on the same item.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulates (item, worker, label) observations and computes per-worker
 /// agreement rates.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AgreementTracker {
     /// item -> list of (worker, label)
     by_item: BTreeMap<u32, Vec<(u32, u32)>>,

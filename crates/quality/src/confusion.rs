@@ -7,18 +7,17 @@
 //! This module implements that full model; it is the natural upgrade path
 //! for CLAMShell deployments whose tasks have structured error patterns.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Observation store for confusion-matrix EM.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ConfusionEm {
     obs: Vec<(u32, u32, u32)>,
     n_classes: u32,
 }
 
 /// Result of confusion-matrix EM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfusionResult {
     /// MAP consensus label per item.
     pub labels: BTreeMap<u32, u32>,

@@ -15,11 +15,10 @@
 //! probability `λ_i`, else uniform wrong), so planted parameters are
 //! recoverable — which the tests verify.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A (worker, item, label) observation matrix in sparse form.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DawidSkene {
     /// Observations: `(worker, item, label)`.
     obs: Vec<(u32, u32, u32)>,
@@ -27,7 +26,7 @@ pub struct DawidSkene {
 }
 
 /// EM hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmConfig {
     /// Maximum EM iterations.
     pub max_iters: u32,
@@ -44,7 +43,7 @@ impl Default for EmConfig {
 }
 
 /// EM output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EmResult {
     /// Consensus (MAP) label per item.
     pub labels: BTreeMap<u32, u32>,

@@ -12,6 +12,7 @@
 //! ```
 
 use crate::report::CompactReport;
+use clamshell_obs::json;
 use std::path::{Path, PathBuf};
 
 /// The committed snapshot directory.
@@ -27,16 +28,7 @@ pub fn golden_path(scenario: &str) -> PathBuf {
 /// Render a scenario's per-seed snapshots as the committed file format:
 /// a JSON array with one compact object per line (stable, diffable).
 pub fn render(reports: &[CompactReport]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&serde_json::to_string(r).expect("compact report serializes"));
-        if i + 1 < reports.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    json::array_per_line(reports.iter().map(CompactReport::to_json))
 }
 
 /// Read a scenario's committed snapshot, if present.
@@ -60,33 +52,6 @@ pub fn blessing() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_is_one_object_per_line() {
-        let r = CompactReport {
-            scenario: "x".into(),
-            seed: 1,
-            tasks: 2,
-            batches: 1,
-            labels: 4,
-            labels_correct: 3,
-            total_ms: 1000,
-            cost_micro: 42,
-            workers_recruited: 3,
-            workers_evicted: 0,
-            workers_departed: 0,
-            assignments: 2,
-            terminated: 0,
-            fingerprint: 7,
-        };
-        let text = render(&[r.clone(), r]);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "[");
-        assert!(lines[1].ends_with(','));
-        assert_eq!(lines[3], "]");
-        assert!(text.ends_with("]\n"));
-    }
 
     #[test]
     fn paths_land_inside_the_crate() {

@@ -1,6 +1,6 @@
 //! Compact `RunReport` snapshots for the golden-master suite.
 //!
-//! A full [`RunReport`] serializes to kilobytes per cell; committing
+//! A full [`RunReport`] holds kilobytes of logs per cell; committing
 //! those for every `(scenario, seed)` would bloat the repo and make
 //! review diffs useless. A [`CompactReport`] keeps the scalar outcomes
 //! (counts, totals, integer milliseconds — no floats, so rendering is
@@ -9,10 +9,10 @@
 //! leaves every aggregate untouched, flips the fingerprint.
 
 use clamshell_core::metrics::RunReport;
-use serde::{Deserialize, Serialize};
+use clamshell_obs::{json, Fnv};
 
 /// Scalar digest of one `(scenario, seed)` run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactReport {
     /// Scenario name (catalog key).
     pub scenario: String,
@@ -44,54 +44,18 @@ pub struct CompactReport {
     pub fingerprint: u64,
 }
 
-/// Incremental FNV-1a over `u64` words (each hashed little-endian).
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-}
-
 impl CompactReport {
     /// Digest `report` for `(scenario, seed)`.
     pub fn of(scenario: &str, seed: u64, report: &RunReport) -> Self {
         let mut h = Fnv::new();
         for t in &report.tasks {
-            h.word(t.task as u64);
-            h.word(t.batch as u64);
-            h.word(t.ng as u64);
-            h.word(t.created.as_millis());
-            h.word(t.completed.as_millis());
-            h.word(t.winner.0 as u64);
-            h.word(t.winner_span.as_millis());
-            h.word(t.winner_age as u64);
-            h.word(t.correct as u64);
+            t.digest_into(&mut h);
         }
         for a in &report.assignments {
-            h.word(a.task as u64);
-            h.word(a.worker.0 as u64);
-            h.word(a.start.as_millis());
-            h.word(a.end.as_millis());
-            h.word(a.terminated as u64);
+            a.digest_into(&mut h);
         }
         for b in &report.batches {
-            h.word(b.index as u64);
-            h.word(b.start.as_millis());
-            h.word(b.end.as_millis());
-            h.word(b.tasks as u64);
-            h.word(b.evicted as u64);
+            b.digest_into(&mut h);
         }
         CompactReport {
             scenario: scenario.to_string(),
@@ -107,8 +71,33 @@ impl CompactReport {
             workers_departed: report.workers_departed,
             assignments: report.assignments.len(),
             terminated: report.assignments.iter().filter(|a| a.terminated).count(),
-            fingerprint: h.0,
+            fingerprint: h.finish(),
         }
+    }
+
+    /// One flat JSON object, fields in declaration order: the committed
+    /// golden-file row format.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"scenario\":{},\"seed\":{},\"tasks\":{},\"batches\":{},\"labels\":{},\
+             \"labels_correct\":{},\"total_ms\":{},\"cost_micro\":{},\"workers_recruited\":{},\
+             \"workers_evicted\":{},\"workers_departed\":{},\"assignments\":{},\"terminated\":{},\
+             \"fingerprint\":{}}}",
+            json::quote(&self.scenario),
+            self.seed,
+            self.tasks,
+            self.batches,
+            self.labels,
+            self.labels_correct,
+            self.total_ms,
+            self.cost_micro,
+            self.workers_recruited,
+            self.workers_evicted,
+            self.workers_departed,
+            self.assignments,
+            self.terminated,
+            self.fingerprint,
+        )
     }
 }
 
@@ -149,12 +138,40 @@ mod tests {
     }
 
     #[test]
+    fn to_json_writes_fields_in_declaration_order() {
+        let r = CompactReport {
+            scenario: "x".into(),
+            seed: 1,
+            tasks: 2,
+            batches: 1,
+            labels: 4,
+            labels_correct: 3,
+            total_ms: 1000,
+            cost_micro: 42,
+            workers_recruited: 3,
+            workers_evicted: 0,
+            workers_departed: 0,
+            assignments: 2,
+            terminated: 0,
+            fingerprint: 7,
+        };
+        assert_eq!(
+            r.to_json(),
+            "{\"scenario\":\"x\",\"seed\":1,\"tasks\":2,\"batches\":1,\"labels\":4,\
+             \"labels_correct\":3,\"total_ms\":1000,\"cost_micro\":42,\"workers_recruited\":3,\
+             \"workers_evicted\":0,\"workers_departed\":0,\"assignments\":2,\"terminated\":0,\
+             \"fingerprint\":7}"
+        );
+    }
+
+    #[test]
     fn digest_serializes_without_floats() {
         // Golden snapshots must be trivially byte-stable: integer fields
         // only, so no float-formatting subtleties can creep in.
         let c = CompactReport::of("benign", 5, &report(5));
-        let json = serde_json::to_string(&c).unwrap();
+        let json = c.to_json();
         assert!(!json.contains('.'), "no floats in golden snapshots: {json}");
-        assert!(json.contains("\"fingerprint\""));
+        assert!(json.starts_with("{\"scenario\":\"benign\",\"seed\":5,\"tasks\":6,"), "{json}");
+        assert!(json.ends_with(&format!(",\"fingerprint\":{}}}", c.fingerprint)), "{json}");
     }
 }

@@ -23,6 +23,7 @@
 
 use crate::catalog;
 use crate::suite;
+use clamshell_obs::json;
 use clamshell_stream::cells::run_jobs_streamed;
 use clamshell_stream::{StreamCheckpoint, StreamConfig};
 
@@ -80,26 +81,16 @@ pub fn checkpoint_suite(threads: Option<usize>) -> Vec<StreamCell> {
 /// one `{scenario, seed, ckpt}` object per line, one line per
 /// checkpoint, in catalog × seed × sequence order.
 pub fn render_cells(cells: &[StreamCell]) -> String {
-    let mut rows: Vec<String> = Vec::new();
-    for cell in cells {
-        for c in &cell.checkpoints {
-            let ckpt = serde_json::to_string(c).expect("checkpoint serializes");
-            rows.push(format!(
-                "{{\"scenario\":\"{}\",\"seed\":{},\"ckpt\":{}}}",
-                cell.scenario, cell.seed, ckpt
-            ));
-        }
-    }
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(r);
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    json::array_per_line(cells.iter().flat_map(|cell| {
+        cell.checkpoints.iter().map(move |c| {
+            format!(
+                "{{\"scenario\":{},\"seed\":{},\"ckpt\":{}}}",
+                json::quote(cell.scenario),
+                cell.seed,
+                c.to_json()
+            )
+        })
+    }))
 }
 
 #[cfg(test)]
@@ -130,6 +121,7 @@ mod tests {
             obs_recorded: 0,
             obs_fingerprint: 0,
         };
+        let wrapped = format!("{{\"scenario\":\"a\",\"seed\":1,\"ckpt\":{}}},", ckpt.to_json());
         let cells = vec![
             StreamCell { scenario: "a", seed: 1, checkpoints: vec![ckpt.clone(), ckpt.clone()] },
             StreamCell { scenario: "b", seed: 2, checkpoints: vec![ckpt] },
@@ -137,12 +129,9 @@ mod tests {
         let text = render_cells(&cells);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
-        assert_eq!(lines[0], "[");
-        assert!(lines[1].starts_with("{\"scenario\":\"a\",\"seed\":1,") && lines[1].ends_with(','));
-        assert!(
-            lines[3].starts_with("{\"scenario\":\"b\",\"seed\":2,") && !lines[3].ends_with(',')
-        );
-        assert_eq!(lines[4], "]");
+        assert_eq!(lines[1], wrapped);
+        assert!(lines[2].starts_with("{\"scenario\":\"a\",\"seed\":1,\"ckpt\":{\"seq\":0,"));
+        assert!(lines[3].starts_with("{\"scenario\":\"b\",\"seed\":2,\"ckpt\":{"));
     }
 
     #[test]

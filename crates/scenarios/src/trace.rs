@@ -16,8 +16,7 @@
 use crate::catalog;
 use crate::suite;
 use clamshell_core::RunConfig;
-use clamshell_obs::{fingerprint_hex, ObsConfig};
-use serde::{Deserialize, Serialize};
+use clamshell_obs::{fingerprint_hex, json, ObsConfig};
 
 /// Golden-file key under `crates/scenarios/golden/`.
 pub const GOLDEN_NAME: &str = "trace_fingerprints";
@@ -27,7 +26,7 @@ pub const GOLDEN_NAME: &str = "trace_fingerprints";
 pub const TRACE_RING: usize = 1 << 16;
 
 /// Scalar digest of one instrumented `(scenario, seed)` trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRow {
     /// Scenario name (catalog key).
     pub scenario: String,
@@ -41,6 +40,23 @@ pub struct TraceRow {
     pub dropped: u64,
     /// `fnv1a:<16 hex>` over the rendered JSONL event lines.
     pub fingerprint: String,
+}
+
+impl TraceRow {
+    /// One flat JSON object, fields in declaration order: the committed
+    /// `trace_fingerprints.json` row format.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"scenario\":{},\"seed\":{},\"events\":{},\"recorded\":{},\"dropped\":{},\
+             \"fingerprint\":{}}}",
+            json::quote(&self.scenario),
+            self.seed,
+            self.events,
+            self.recorded,
+            self.dropped,
+            json::quote(&self.fingerprint),
+        )
+    }
 }
 
 /// One instrumented suite cell: the committed digest plus the full
@@ -91,18 +107,7 @@ pub fn trace_suite(threads: Option<usize>) -> Vec<(&'static str, Vec<TraceCell>)
 /// Render the suite's digest rows as the committed file format: a JSON
 /// array with one object per line, in catalog × seed order.
 pub fn render_rows(rows: &[(&'static str, Vec<TraceCell>)]) -> String {
-    let flat: Vec<&TraceRow> =
-        rows.iter().flat_map(|(_, cells)| cells.iter().map(|c| &c.row)).collect();
-    let mut out = String::from("[\n");
-    for (i, r) in flat.iter().enumerate() {
-        out.push_str(&serde_json::to_string(r).expect("trace row serializes"));
-        if i + 1 < flat.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    json::array_per_line(rows.iter().flat_map(|(_, cells)| cells.iter().map(|c| c.row.to_json())))
 }
 
 #[cfg(test)]
@@ -135,9 +140,12 @@ mod tests {
         let text = render_rows(&rows);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
-        assert_eq!(lines[0], "[");
-        assert!(lines[1].contains("\"scenario\":\"a\"") && lines[1].ends_with(','));
-        assert!(lines[3].contains("\"scenario\":\"b\"") && !lines[3].ends_with(','));
-        assert_eq!(lines[4], "]");
+        assert_eq!(
+            lines[1],
+            "{\"scenario\":\"a\",\"seed\":1,\"events\":3,\"recorded\":3,\"dropped\":0,\
+             \"fingerprint\":\"fnv1a:0000000000000000\"},"
+        );
+        assert!(lines[2].starts_with("{\"scenario\":\"a\",\"seed\":2,"));
+        assert!(lines[3].starts_with("{\"scenario\":\"b\",\"seed\":1,"));
     }
 }

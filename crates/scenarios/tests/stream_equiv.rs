@@ -81,8 +81,8 @@ proptest! {
         } else {
             // Retained mode: the full report is byte-identical.
             prop_assert_eq!(
-                serde_json::to_string(&outcome.report).unwrap(),
-                serde_json::to_string(&batched).unwrap()
+                outcome.report,
+                batched
             );
         }
 

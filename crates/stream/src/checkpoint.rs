@@ -8,17 +8,16 @@
 
 use clamshell_core::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use clamshell_obs::Fnv;
-use serde::{Deserialize, Serialize};
 
 /// Three running FNV-1a fingerprints over the task, assignment, and
 /// batch logs of a run — one hasher per table, so rows can be folded
 /// incrementally (as batches complete or retire) and still reproduce
 /// the digest of the complete batched report.
 ///
-/// Per-row word sequences mirror the golden suite's `CompactReport`
-/// fingerprint: every field that identifies the row's scheduling outcome
-/// is hashed as a little-endian `u64`, so any behavioural drift — even
-/// one that leaves all aggregates untouched — flips a digest.
+/// Rows are hashed through their `digest_into` definitions, the same
+/// ones the golden suite's `CompactReport` fingerprint uses, so any
+/// behavioural drift — even one that leaves all aggregates untouched —
+/// flips a digest.
 #[derive(Debug, Clone)]
 pub struct StreamDigest {
     tasks: Fnv,
@@ -38,42 +37,19 @@ impl StreamDigest {
         StreamDigest { tasks: Fnv::new(), assignments: Fnv::new(), batches: Fnv::new() }
     }
 
-    fn word(h: &mut Fnv, w: u64) {
-        h.write(&w.to_le_bytes());
-    }
-
     /// Fold one task record.
     pub fn fold_task(&mut self, t: &TaskRecord) {
-        let h = &mut self.tasks;
-        Self::word(h, t.task as u64);
-        Self::word(h, t.batch as u64);
-        Self::word(h, t.ng as u64);
-        Self::word(h, t.created.as_millis());
-        Self::word(h, t.completed.as_millis());
-        Self::word(h, t.winner.0 as u64);
-        Self::word(h, t.winner_span.as_millis());
-        Self::word(h, t.winner_age as u64);
-        Self::word(h, t.correct as u64);
+        t.digest_into(&mut self.tasks);
     }
 
     /// Fold one assignment record.
     pub fn fold_assignment(&mut self, a: &AssignmentRecord) {
-        let h = &mut self.assignments;
-        Self::word(h, a.task as u64);
-        Self::word(h, a.worker.0 as u64);
-        Self::word(h, a.start.as_millis());
-        Self::word(h, a.end.as_millis());
-        Self::word(h, a.terminated as u64);
+        a.digest_into(&mut self.assignments);
     }
 
     /// Fold one batch-statistics row.
     pub fn fold_batch(&mut self, b: &BatchStats) {
-        let h = &mut self.batches;
-        Self::word(h, b.index as u64);
-        Self::word(h, b.start.as_millis());
-        Self::word(h, b.end.as_millis());
-        Self::word(h, b.tasks as u64);
-        Self::word(h, b.evicted as u64);
+        b.digest_into(&mut self.batches);
     }
 
     /// The three fingerprints `(tasks, assignments, batches)` as of the
@@ -107,7 +83,7 @@ impl StreamDigest {
 /// thread counts, and retirement modes. `arrived`/`backlog` come from
 /// the open-loop arrival schedule and are the only rate-dependent
 /// fields; everything else is a pure function of `(RunConfig, seed)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// Snapshot sequence number, from 0.
     pub seq: u64,
@@ -151,6 +127,40 @@ pub struct StreamCheckpoint {
     pub obs_recorded: u64,
     /// Trace fingerprint over every event so far (0 when off).
     pub obs_fingerprint: u64,
+}
+
+impl StreamCheckpoint {
+    /// One flat JSON object, fields in declaration order: the committed
+    /// `stream_checkpoints.json` format.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"seq\":{},\"at_ms\":{},\"arrived\":{},\"admitted\":{},\"completed\":{},\
+             \"backlog\":{},\"batches\":{},\"labels\":{},\"labels_correct\":{},\
+             \"assignments\":{},\"terminated\":{},\"cost_micro\":{},\"recruited\":{},\
+             \"evicted\":{},\"departed\":{},\"digest_tasks\":{},\"digest_assignments\":{},\
+             \"digest_batches\":{},\"obs_recorded\":{},\"obs_fingerprint\":{}}}",
+            self.seq,
+            self.at_ms,
+            self.arrived,
+            self.admitted,
+            self.completed,
+            self.backlog,
+            self.batches,
+            self.labels,
+            self.labels_correct,
+            self.assignments,
+            self.terminated,
+            self.cost_micro,
+            self.recruited,
+            self.evicted,
+            self.departed,
+            self.digest_tasks,
+            self.digest_assignments,
+            self.digest_batches,
+            self.obs_recorded,
+            self.obs_fingerprint,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -230,9 +240,15 @@ mod tests {
             obs_recorded: 0,
             obs_fingerprint: 0,
         };
-        let json = serde_json::to_string(&c).unwrap();
+        let json = c.to_json();
         assert!(!json.contains('.'), "no floats in checkpoint snapshots: {json}");
-        assert!(json.contains("\"digest_tasks\":9"));
-        assert!(json.contains("\"obs_fingerprint\":0"));
+        assert_eq!(
+            json,
+            "{\"seq\":0,\"at_ms\":1,\"arrived\":2,\"admitted\":3,\"completed\":4,\"backlog\":0,\
+             \"batches\":1,\"labels\":8,\"labels_correct\":7,\"assignments\":5,\"terminated\":1,\
+             \"cost_micro\":123,\"recruited\":4,\"evicted\":0,\"departed\":0,\"digest_tasks\":9,\
+             \"digest_assignments\":10,\"digest_batches\":11,\"obs_recorded\":0,\
+             \"obs_fingerprint\":0}"
+        );
     }
 }

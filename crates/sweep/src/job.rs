@@ -67,9 +67,6 @@ mod tests {
         };
         let via_job = job.run();
         let direct = run_batched(cfg, pop, specs, 3);
-        assert_eq!(
-            serde_json::to_string(&via_job).unwrap(),
-            serde_json::to_string(&direct).unwrap()
-        );
+        assert_eq!(via_job, direct);
     }
 }

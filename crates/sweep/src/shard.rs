@@ -216,7 +216,7 @@ impl Header {
     fn chain_seed(&self) -> u64 {
         let mut h = Fnv::new();
         for word in [MANIFEST_VERSION, self.grid, self.shard_size, self.n_jobs, self.words] {
-            h.write(&word.to_le_bytes());
+            h.word(word);
         }
         h.finish()
     }
@@ -226,10 +226,10 @@ impl Header {
 fn chain_fp(prev: u64, shard: u64, lo: u64, hi: u64, cells: &[u64]) -> u64 {
     let mut h = Fnv::new();
     for word in [prev, shard, lo, hi] {
-        h.write(&word.to_le_bytes());
+        h.word(word);
     }
     for &c in cells {
-        h.write(&c.to_le_bytes());
+        h.word(c);
     }
     h.finish()
 }

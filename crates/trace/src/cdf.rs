@@ -5,10 +5,9 @@
 use crate::population::Population;
 use clamshell_sim::rng::Rng;
 use clamshell_sim::stats::ecdf;
-use serde::{Deserialize, Serialize};
 
 /// The two empirical CDFs plotted in Figure 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerLatencyCdfs {
     /// Sorted per-worker mean latencies (seconds) with cumulative probs.
     pub mean_values: Vec<f64>,

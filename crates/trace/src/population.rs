@@ -9,13 +9,12 @@ use crate::profile::WorkerProfile;
 use clamshell_sim::dist::{Beta, LogNormal, Sample};
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How a worker's per-label latency std relates to their mean: the trace
 /// analysis shows inconsistency grows with slowness (Figure 2's std CDF
 /// tracks the mean CDF), so we model `σ_i = ratio_i · μ_i` with `ratio_i`
 /// drawn log-normally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StdModel {
     /// Median of the `σ_i / μ_i` ratio.
     pub ratio_median: f64,
@@ -24,7 +23,7 @@ pub struct StdModel {
 }
 
 /// A generative population of crowd workers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     /// Human-readable name used in reports.
     pub name: String,

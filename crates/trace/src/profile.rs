@@ -3,7 +3,6 @@
 use clamshell_sim::dist::{Sample, TruncNormal};
 use clamshell_sim::rng::Rng;
 use clamshell_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The generative model of a single crowd worker, mirroring the per-worker
 /// statistics the paper extracts from its deployment traces (§6.1):
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// accuracy `λ_i`. Latencies here are **per record label, in seconds**; a
 /// task grouping `Ng` records takes the sum of `Ng` record draws
 /// (mean `Ng·μ_i`, std `√Ng·σ_i`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerProfile {
     /// Mean per-label work latency `μ_i`, seconds.
     pub mean_latency: f64,

