@@ -48,6 +48,7 @@ pub mod metrics;
 pub mod poolmodel;
 pub mod runner;
 pub mod task;
+mod worker_table;
 
 pub use adversity::{AdversityConfig, BurstFault, ChurnFault, OutageFault};
 pub use batcher::{Batcher, BatcherConfig};

@@ -2,9 +2,9 @@
 //! eviction decision (§4.2–§4.3).
 
 use crate::config::MaintenanceConfig;
+use crate::worker_table::WorkerTable;
 use clamshell_crowd::WorkerId;
 use clamshell_sim::stats::OnlineStats;
-use std::collections::BTreeMap;
 
 /// Empirical latency bookkeeping for one worker. All latencies are
 /// **seconds per label** (task latency divided by `Ng`), matching the
@@ -124,7 +124,8 @@ impl WorkerStats {
 /// The Maintainer: accumulates [`WorkerStats`] and decides evictions.
 #[derive(Debug, Clone, Default)]
 pub struct Maintainer {
-    stats: BTreeMap<WorkerId, WorkerStats>,
+    /// Per-worker stats, indexed by worker id.
+    stats: WorkerTable<WorkerStats>,
     /// Total workers evicted so far (for Figures 7 and 14).
     pub evictions: u64,
     /// Workers who walked out mid-assignment (adversity churn). Tracked
@@ -142,18 +143,18 @@ impl Maintainer {
 
     /// Stats entry for a worker, creating it on first touch.
     pub fn stats_mut(&mut self, w: WorkerId) -> &mut WorkerStats {
-        self.stats.entry(w).or_default()
+        self.stats.get_or_insert_with(w, WorkerStats::default)
     }
 
     /// Read-only stats for a worker.
     pub fn stats(&self, w: WorkerId) -> Option<&WorkerStats> {
-        self.stats.get(&w)
+        self.stats.get(w)
     }
 
     /// The worker's best latency estimate under the current config:
     /// TermEst-adjusted when enabled, completed-only otherwise.
     pub fn estimate(&self, w: WorkerId, cfg: &MaintenanceConfig) -> Option<f64> {
-        let s = self.stats.get(&w)?;
+        let s = self.stats.get(w)?;
         if s.started == 0 {
             return None;
         }
@@ -171,7 +172,7 @@ impl Maintainer {
     /// enough attempts.
     pub fn should_evict(&self, w: WorkerId, cfg: &MaintenanceConfig) -> bool {
         use crate::config::MaintenanceObjective as Obj;
-        let Some(s) = self.stats.get(&w) else {
+        let Some(s) = self.stats.get(w) else {
             return false;
         };
         if s.started < cfg.min_tasks {
@@ -197,15 +198,12 @@ impl Maintainer {
         };
         if s.completed.count() >= 2 {
             // Shift the completed sample by the TermEst correction and run
-            // the one-sided test against PMℓ.
+            // the one-sided test against PMℓ. Shifting the mean leaves the
+            // variance unchanged, so test the sample against a threshold
+            // shifted the other way instead.
             let shift = est - s.completed.mean();
-            let mut shifted = s.completed;
-            // OnlineStats is mean/variance; shifting the mean leaves the
-            // variance unchanged, so emulate by testing against a shifted
-            // threshold instead.
             let threshold = cfg.threshold_per_label_secs - shift;
-            shifted.merge(&OnlineStats::new()); // no-op; keeps clone intent clear
-            shifted.mean_exceeds(threshold, cfg.alpha, cfg.min_tasks.min(2))
+            s.completed.mean_exceeds(threshold, cfg.alpha, cfg.min_tasks.min(2))
         } else {
             // No (or single) completed sample: decide on the point
             // estimate alone.
@@ -238,7 +236,7 @@ impl Maintainer {
     /// would only skew pool-level aggregates.
     pub fn note_walkout(&mut self, w: WorkerId) {
         self.walkouts += 1;
-        self.stats.remove(&w);
+        self.stats.remove(w);
     }
 }
 

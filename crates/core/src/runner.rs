@@ -11,6 +11,10 @@
 //! task stream, two runs produce byte-identical [`RunReport`]s. Events at
 //! equal times fire in schedule order; all collections iterate in
 //! [`WorkerId`] order; every random draw comes from seeded streams.
+//!
+//! Per-worker state lives in id-indexed tables and sorted vectors, and
+//! every per-task buffer is recycled, so the event pump does no map
+//! lookups and — in retire mode — no heap allocation per task.
 
 use crate::adversity::{streams, BurstFault, ChurnFault};
 use crate::config::{QcMode, RunConfig};
@@ -20,6 +24,7 @@ use crate::metrics::{AssignmentRecord, BatchStats, RunReport, TaskRecord};
 use crate::task::{
     Assignment, AssignmentId, LabelSpan, StateView, TaskId, TaskResponse, TaskSpec, TaskState,
 };
+use crate::worker_table::WorkerTable;
 use clamshell_crowd::{CostLedger, RetainerPool, SimPlatform, WorkerId};
 use clamshell_obs::{RunObserver, TraceKind};
 use clamshell_quality::voting::{majority_vote, Vote};
@@ -29,7 +34,7 @@ use clamshell_sim::rng::Rng;
 use clamshell_sim::stats::OnlineStats;
 use clamshell_sim::time::{SimDuration, SimTime};
 use clamshell_trace::Population;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -55,15 +60,39 @@ enum Event {
 
 /// The report rows drained by one [`Runner::retire_completed`] call:
 /// everything logged since the previous retirement, in the same order
-/// the retained-mode vectors would hold it.
-#[derive(Debug, Clone, Default)]
-pub struct RetiredRows {
+/// the retained-mode vectors would hold it. The slices borrow the
+/// runner's retired-row buffers, which the next retirement reuses.
+#[derive(Debug, Clone, Copy)]
+pub struct RetiredRows<'a> {
     /// Completed-task records, in completion order.
-    pub tasks: Vec<TaskRecord>,
+    pub tasks: &'a [TaskRecord],
     /// Assignment records, in the order assignments ended.
-    pub assignments: Vec<AssignmentRecord>,
+    pub assignments: &'a [AssignmentRecord],
     /// Per-batch statistics, in batch order.
-    pub batches: Vec<BatchStats>,
+    pub batches: &'a [BatchStats],
+}
+
+/// Worker ids in ascending order: the runner's idle set. It holds at
+/// most the pool's members, so a binary search is all a lookup needs.
+#[derive(Default)]
+struct SortedIds(Vec<WorkerId>);
+
+impl SortedIds {
+    fn contains(&self, w: WorkerId) -> bool {
+        self.0.binary_search(&w).is_ok()
+    }
+
+    fn insert(&mut self, w: WorkerId) {
+        if let Err(at) = self.0.binary_search(&w) {
+            self.0.insert(at, w);
+        }
+    }
+
+    fn remove(&mut self, w: WorkerId) {
+        if let Ok(at) = self.0.binary_search(&w) {
+            self.0.remove(at);
+        }
+    }
 }
 
 /// Cumulative worker-lifecycle counters, never retired — streaming
@@ -108,18 +137,29 @@ pub struct Runner {
     batch_index: usize,
 
     /// Workers idle and dispatchable right now.
-    idle: BTreeSet<WorkerId>,
+    idle: SortedIds,
     /// Recruited workers not yet placed in the pool (maintenance reserve).
     reserve: VecDeque<WorkerId>,
-    reserve_since: BTreeMap<WorkerId, SimTime>,
+    /// When each reserve worker started waiting off-pool.
+    reserve_since: WorkerTable<SimTime>,
     recruits_in_flight: usize,
     /// Abandon-event invalidation epochs.
-    abandon_epoch: BTreeMap<WorkerId, u32>,
-    patience: BTreeMap<WorkerId, SimDuration>,
+    abandon_epoch: WorkerTable<u32>,
+    patience: WorkerTable<SimDuration>,
 
     task_records: Vec<TaskRecord>,
     assignment_records: Vec<AssignmentRecord>,
     batch_stats: Vec<BatchStats>,
+    /// The rows the last [`Runner::retire_completed`] lent out. The next
+    /// retirement swaps them with the live vectors above and clears
+    /// them, so retiring keeps every buffer's capacity.
+    retired_tasks: Vec<TaskRecord>,
+    retired_assignments: Vec<AssignmentRecord>,
+    retired_batches: Vec<BatchStats>,
+    /// Cleared `responses`/`active` vectors of retired tasks, handed to
+    /// the tasks of later batches.
+    spare_responses: Vec<Vec<TaskResponse>>,
+    spare_active: Vec<Vec<AssignmentId>>,
     started: Option<SimTime>,
     last_completion: SimTime,
     evicted_this_boundary: usize,
@@ -224,15 +264,20 @@ impl Runner {
             assignment_base: 0,
             batch_tasks: Vec::new(),
             batch_index: 0,
-            idle: BTreeSet::new(),
+            idle: SortedIds::default(),
             reserve: VecDeque::new(),
-            reserve_since: BTreeMap::new(),
+            reserve_since: WorkerTable::default(),
             recruits_in_flight: 0,
-            abandon_epoch: BTreeMap::new(),
-            patience: BTreeMap::new(),
+            abandon_epoch: WorkerTable::default(),
+            patience: WorkerTable::default(),
             task_records: Vec::new(),
             assignment_records: Vec::new(),
             batch_stats: Vec::new(),
+            retired_tasks: Vec::new(),
+            retired_assignments: Vec::new(),
+            retired_batches: Vec::new(),
+            spare_responses: Vec::new(),
+            spare_active: Vec::new(),
             started: None,
             last_completion: SimTime::ZERO,
             cfg,
@@ -339,7 +384,11 @@ impl Runner {
                 "task truth out of class range"
             );
             let id = TaskId(self.task_base + self.tasks.len() as u32);
-            self.tasks.push(TaskState::new(spec, index, start));
+            self.tasks.push(TaskState {
+                responses: self.spare_responses.pop().unwrap_or_default(),
+                active: self.spare_active.pop().unwrap_or_default(),
+                ..TaskState::new(spec, index, start)
+            });
             self.batch_tasks.push(id);
         }
 
@@ -353,7 +402,7 @@ impl Runner {
         // behavior, so the default reorder is a no-op).
         let mut kick = std::mem::take(&mut self.kick_scratch);
         kick.clear();
-        kick.extend(self.idle.iter().copied());
+        kick.extend_from_slice(&self.idle.0);
         self.pool.order_checkouts(&mut kick);
         for &w in &kick {
             self.dispatch_worker(w);
@@ -401,11 +450,10 @@ impl Runner {
         // never silently under-pay. They must agree today.
         debug_assert_eq!(
             self.reserve.len(),
-            self.reserve_since.len(),
-            "reserve queue and accrual map out of sync at drain"
+            self.reserve_since.iter().count(),
+            "reserve queue and accrual table out of sync at drain"
         );
-        let owed = std::mem::take(&mut self.reserve_since);
-        for (_, since) in owed {
+        for (_, &since) in self.reserve_since.iter() {
             self.platform.pay_wait(now.since(since));
         }
         // Fold the pool's transition aggregates into the registry, then
@@ -522,9 +570,12 @@ impl Runner {
     }
 
     /// Retire all completed-task state, keeping streamed-run memory
-    /// bounded: drains the report rows accumulated since the last
-    /// retirement, clears the task/assignment tables (capacity is kept,
-    /// so steady-state batches stop allocating), and bumps the id bases.
+    /// bounded: lends out the report rows accumulated since the last
+    /// retirement, clears the task/assignment tables, and bumps the id
+    /// bases. Every buffer keeps its capacity — the row vectors swap
+    /// with the previously retired ones, and the retired tasks'
+    /// response and assignment lists go to spare lists for the next
+    /// batch — so steady-state batches stop allocating.
     ///
     /// Only callable at a batch boundary, when every admitted task has
     /// completed — which also means every assignment is dead
@@ -533,7 +584,7 @@ impl Runner {
     /// run start/last-completion) are never retired, so
     /// [`Runner::finish`] still reports them correctly; only the row
     /// vectors come back empty in retire mode.
-    pub fn retire_completed(&mut self) -> RetiredRows {
+    pub fn retire_completed(&mut self) -> RetiredRows<'_> {
         assert!(
             self.tasks.iter().all(|t| t.completed_at.is_some()),
             "retire_completed is a batch-boundary operation: every admitted task must be complete"
@@ -544,17 +595,29 @@ impl Runner {
         );
         self.task_base += self.tasks.len() as u32;
         self.assignment_base += self.assignments.len() as u32;
-        self.tasks.clear();
+        for task in self.tasks.drain(..) {
+            let (mut responses, mut active) = (task.responses, task.active);
+            responses.clear();
+            active.clear();
+            self.spare_responses.push(responses);
+            self.spare_active.push(active);
+        }
         self.assignments.clear();
         self.batch_tasks.clear();
         // Every LabelSpan handle lives in the task table just cleared, so
         // the arena holds no reachable spans; clearing it (capacity kept)
         // is what makes streamed-run label memory bounded too.
         self.label_arena.clear();
+        std::mem::swap(&mut self.task_records, &mut self.retired_tasks);
+        std::mem::swap(&mut self.assignment_records, &mut self.retired_assignments);
+        std::mem::swap(&mut self.batch_stats, &mut self.retired_batches);
+        self.task_records.clear();
+        self.assignment_records.clear();
+        self.batch_stats.clear();
         RetiredRows {
-            tasks: std::mem::take(&mut self.task_records),
-            assignments: std::mem::take(&mut self.assignment_records),
-            batches: std::mem::take(&mut self.batch_stats),
+            tasks: &self.retired_tasks,
+            assignments: &self.retired_assignments,
+            batches: &self.retired_batches,
         }
     }
 
@@ -659,9 +722,9 @@ impl Runner {
     /// Release a reserve worker whose idle timeout elapsed. Stale checks
     /// (the worker was promoted into the pool meanwhile) are no-ops:
     /// `join_pool` removes them from `reserve_since`, and workers never
-    /// re-enter the reserve, so map membership is the liveness test.
+    /// re-enter the reserve, so table membership is the liveness test.
     fn on_reserve_timeout(&mut self, w: WorkerId) {
-        let Some(since) = self.reserve_since.remove(&w) else {
+        let Some(since) = self.reserve_since.remove(w) else {
             return;
         };
         self.reserve.retain(|&x| x != w);
@@ -675,7 +738,7 @@ impl Runner {
 
     fn join_pool(&mut self, w: WorkerId) {
         let now = self.now();
-        if let Some(since) = self.reserve_since.remove(&w) {
+        if let Some(since) = self.reserve_since.remove(w) {
             // Reserve workers were waiting (and being paid) off-pool.
             self.platform.pay_wait(now.since(since));
         }
@@ -699,14 +762,14 @@ impl Runner {
         if !self.cfg.churn {
             return;
         }
-        if self.abandon_epoch.get(&w).copied().unwrap_or(0) != epoch {
+        if self.abandon_epoch.get(w).copied().unwrap_or(0) != epoch {
             return; // stale check: the worker got work since
         }
-        if !self.idle.contains(&w) || !self.pool.contains(w) {
+        if !self.idle.contains(w) || !self.pool.contains(w) {
             return;
         }
         // The worker walks away from the retainer task.
-        self.idle.remove(&w);
+        self.idle.remove(w);
         let now = self.now();
         if let Some(wait) = self.pool.leave(w, now) {
             self.platform.pay_wait(wait);
@@ -757,9 +820,9 @@ impl Runner {
             self.pool.leave(w, now);
             self.note_pool_leave(now, w);
         }
-        self.idle.remove(&w);
-        self.patience.remove(&w);
-        self.abandon_epoch.remove(&w);
+        self.idle.remove(w);
+        self.patience.remove(w);
+        self.abandon_epoch.remove(w);
         self.maintainer.note_walkout(w);
         self.workers_departed += 1;
         if let Some(obs) = &mut self.obs {
@@ -771,7 +834,7 @@ impl Runner {
         // scratch buffer first), in the configured checkout order.
         let mut kick = std::mem::take(&mut self.kick_scratch);
         kick.clear();
-        kick.extend(self.idle.iter().copied());
+        kick.extend_from_slice(&self.idle.0);
         self.pool.order_checkouts(&mut kick);
         for &idle_w in &kick {
             self.dispatch_worker(idle_w);
@@ -1039,7 +1102,7 @@ impl Runner {
             self.retire_stale(w);
             return;
         }
-        self.idle.remove(&w);
+        self.idle.remove(w);
 
         // 1. Must-fill: tasks with fewer live assignments than needed
         //    votes, in task order.
@@ -1091,9 +1154,9 @@ impl Runner {
                 // Nothing to do: the worker waits; maybe abandons later.
                 self.idle.insert(w);
                 if self.cfg.churn {
-                    let epoch = *self.abandon_epoch.entry(w).or_insert(0);
+                    let epoch = *self.abandon_epoch.get_or_insert_with(w, || 0);
                     let patience =
-                        self.patience.get(&w).copied().unwrap_or(SimDuration::from_mins(30));
+                        self.patience.get(w).copied().unwrap_or(SimDuration::from_mins(30));
                     self.queue.schedule(self.now() + patience, Event::Abandon(w, epoch));
                 }
             }
@@ -1104,14 +1167,14 @@ impl Runner {
     /// settle their outstanding wait, free the slot, and backfill from
     /// the reserve or recruitment.
     fn retire_stale(&mut self, w: WorkerId) {
-        self.idle.remove(&w);
+        self.idle.remove(w);
         let now = self.now();
         if let Some(wait) = self.pool.leave(w, now) {
             self.platform.pay_wait(wait);
             self.note_pool_leave(now, w);
         }
-        self.patience.remove(&w);
-        self.abandon_epoch.remove(&w);
+        self.patience.remove(w);
+        self.abandon_epoch.remove(w);
         self.stale_retired += 1;
         if let Some(obs) = &mut self.obs {
             obs.record(now, TraceKind::StaleRetired { worker: w.0 });
@@ -1122,7 +1185,7 @@ impl Runner {
     fn assign(&mut self, w: WorkerId, tid: TaskId) {
         let now = self.now();
         // Invalidate pending abandon checks.
-        *self.abandon_epoch.entry(w).or_insert(0) += 1;
+        *self.abandon_epoch.get_or_insert_with(w, || 0) += 1;
         let waited = self.pool.start_work(w, now);
         self.platform.pay_wait(waited);
         if let Some(obs) = &mut self.obs {
@@ -1223,7 +1286,7 @@ impl Runner {
             let remaining = self.cfg.quorum.saturating_sub(task.responses.len() as u32) as usize;
             demand += remaining.saturating_sub(task.active.len());
         }
-        let mut need = demand.saturating_sub(self.idle.len());
+        let mut need = demand.saturating_sub(self.idle.0.len());
         while need > 0 && self.pool.vacancies() > 0 {
             let Some(next) = self.reserve.pop_front() else {
                 break;
@@ -1253,7 +1316,7 @@ impl Runner {
             if self.reserve.is_empty() {
                 break;
             }
-            self.idle.remove(&w);
+            self.idle.remove(w);
             let now = self.now();
             if let Some(wait) = self.pool.leave(w, now) {
                 self.platform.pay_wait(wait);
@@ -1557,8 +1620,8 @@ mod tests {
             let Some((_, ev)) = r.queue.pop() else { break };
             r.handle(ev);
         }
-        assert!(!r.reserve_since.is_empty(), "reserve must be non-empty at drain");
-        assert_eq!(r.reserve.len(), r.reserve_since.len());
+        assert!(!r.reserve.is_empty(), "reserve must be non-empty at drain");
+        assert_eq!(r.reserve.len(), r.reserve_since.iter().count());
         let now = r.now();
         let mut expected = r.platform.ledger().wait_micro;
         for (_, m) in r.pool.members() {
@@ -1566,7 +1629,7 @@ mod tests {
                 expected += usd(rate * now.since(since).as_mins_f64());
             }
         }
-        for &since in r.reserve_since.values() {
+        for (_, &since) in r.reserve_since.iter() {
             expected += usd(rate * now.since(since).as_mins_f64());
         }
         let report = r.finish();

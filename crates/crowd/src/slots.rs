@@ -5,8 +5,10 @@
 //! persistent retainer task that a crowd worker has accepted, and may be
 //! empty or contain a task." [`RetainerPool`] models exactly that: a
 //! bounded set of members, each either *waiting* (idle, accruing wait pay)
-//! or *working* (running an assignment). Iteration order is deterministic
-//! (ordered by [`WorkerId`]) so the scheduler's choices are reproducible.
+//! or *working* (running an assignment). Members live in a vector kept
+//! sorted by [`WorkerId`] — at most `Np` entries, so a binary search
+//! finds one — and iteration order is that id order, so the scheduler's
+//! choices are reproducible.
 //!
 //! Beyond the flat slot set, the pool carries production resource-pool
 //! lifecycle semantics (in the mold of database connection pools):
@@ -30,7 +32,6 @@
 use crate::platform::WorkerId;
 use clamshell_obs::PoolObs;
 use clamshell_sim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Order in which idle members are handed new work when a batch opens or
 /// coverage is lost.
@@ -106,7 +107,9 @@ pub struct RetainerPool {
     capacity: usize,
     config: PoolConfig,
     generation: u64,
-    members: BTreeMap<WorkerId, Member>,
+    /// Current members, sorted by id. Sized by the pool (`Np`), not by
+    /// every worker ever recruited, so [`Self::members`] stays O(Np).
+    members: Vec<(WorkerId, Member)>,
     /// Transition counters, present only when the run has observability
     /// enabled. `None` (the default) records nothing and keeps the pool
     /// byte-identical to a pre-obs build.
@@ -129,7 +132,23 @@ impl RetainerPool {
                 "pool min_size must be in 1..=capacity ({min} vs {capacity})"
             );
         }
-        RetainerPool { capacity, config, generation: 0, members: BTreeMap::new(), obs: None }
+        RetainerPool {
+            capacity,
+            config,
+            generation: 0,
+            members: Vec::with_capacity(capacity),
+            obs: None,
+        }
+    }
+
+    /// Position of `w` in `members`, or where it would be inserted.
+    fn find(&self, w: WorkerId) -> Result<usize, usize> {
+        self.members.binary_search_by_key(&w, |&(id, _)| id)
+    }
+
+    fn member_mut(&mut self, w: WorkerId) -> Option<&mut Member> {
+        let i = self.find(w).ok()?;
+        Some(&mut self.members[i].1)
     }
 
     /// Start counting pool state transitions (called by the runner when
@@ -176,7 +195,7 @@ impl RetainerPool {
     /// Whether `w` is a member from an older generation (due for lazy
     /// retirement at checkout). Non-members are not stale.
     pub fn is_stale(&self, w: WorkerId) -> bool {
-        self.members.get(&w).is_some_and(|m| m.generation < self.generation)
+        self.member(w).is_some_and(|m| m.generation < self.generation)
     }
 
     /// Reorder a checkout candidate list according to the configured
@@ -189,7 +208,7 @@ impl RetainerPool {
             CheckoutStrategy::Fifo => {}
             CheckoutStrategy::Lifo => {
                 candidates.sort_unstable_by(|&a, &b| {
-                    let idle_since = |w: WorkerId| match self.members.get(&w).map(|m| m.state) {
+                    let idle_since = |w: WorkerId| match self.member(w).map(|m| m.state) {
                         Some(MemberState::Waiting { since }) => since,
                         _ => SimTime::ZERO,
                     };
@@ -218,18 +237,24 @@ impl RetainerPool {
     /// Add a worker in the `Waiting` state. Returns `false` (and does not
     /// add) if the pool is full or the worker is already a member.
     pub fn join(&mut self, w: WorkerId, now: SimTime) -> bool {
-        if self.vacancies() == 0 || self.members.contains_key(&w) {
+        if self.vacancies() == 0 {
             return false;
         }
+        let Err(at) = self.find(w) else {
+            return false;
+        };
         self.members.insert(
-            w,
-            Member {
-                state: MemberState::Waiting { since: now },
-                joined: now,
-                generation: self.generation,
-                started: 0,
-                completed: 0,
-            },
+            at,
+            (
+                w,
+                Member {
+                    state: MemberState::Waiting { since: now },
+                    joined: now,
+                    generation: self.generation,
+                    started: 0,
+                    completed: 0,
+                },
+            ),
         );
         if let Some(obs) = &mut self.obs {
             obs.note_join(self.members.len() as u64);
@@ -241,7 +266,7 @@ impl RetainerPool {
     /// duration to settle (wait pay owed since they last became idle), or
     /// `None` if the worker was not a member.
     pub fn leave(&mut self, w: WorkerId, now: SimTime) -> Option<SimDuration> {
-        let m = self.members.remove(&w)?;
+        let (_, m) = self.members.remove(self.find(w).ok()?);
         if let Some(obs) = &mut self.obs {
             // A working member departing also vacates its checkout.
             if matches!(m.state, MemberState::Working { .. }) {
@@ -257,19 +282,19 @@ impl RetainerPool {
 
     /// Is this worker a member?
     pub fn contains(&self, w: WorkerId) -> bool {
-        self.members.contains_key(&w)
+        self.find(w).is_ok()
     }
 
     /// Member record, if present.
     pub fn member(&self, w: WorkerId) -> Option<&Member> {
-        self.members.get(&w)
+        self.find(w).ok().map(|i| &self.members[i].1)
     }
 
     /// Transition a waiting worker to working. Returns the waiting
     /// duration being ended (for wait-pay settlement). Panics if the
     /// worker is not a waiting member — that is a scheduler bug.
     pub fn start_work(&mut self, w: WorkerId, now: SimTime) -> SimDuration {
-        let m = self.members.get_mut(&w).expect("start_work: not a member");
+        let m = self.member_mut(w).expect("start_work: not a member");
         let waited = match m.state {
             MemberState::Waiting { since } => {
                 m.state = MemberState::Working { since: now };
@@ -288,7 +313,7 @@ impl RetainerPool {
     /// whether the assignment finished (vs being terminated). Returns the
     /// work duration.
     pub fn finish_work(&mut self, w: WorkerId, now: SimTime, completed: bool) -> SimDuration {
-        let m = self.members.get_mut(&w).expect("finish_work: not a member");
+        let m = self.member_mut(w).expect("finish_work: not a member");
         let worked = match m.state {
             MemberState::Working { since } => {
                 m.state = MemberState::Waiting { since: now };
@@ -310,7 +335,7 @@ impl RetainerPool {
         self.members
             .iter()
             .filter(|(_, m)| matches!(m.state, MemberState::Waiting { .. }))
-            .map(|(&w, _)| w)
+            .map(|&(w, _)| w)
             .collect()
     }
 
@@ -319,19 +344,19 @@ impl RetainerPool {
         self.members
             .iter()
             .filter(|(_, m)| matches!(m.state, MemberState::Working { .. }))
-            .map(|(&w, _)| w)
+            .map(|&(w, _)| w)
             .collect()
     }
 
     /// All members in deterministic order.
     pub fn members(&self) -> impl Iterator<Item = (WorkerId, &Member)> {
-        self.members.iter().map(|(&w, m)| (w, m))
+        self.members.iter().map(|(w, m)| (*w, m))
     }
 
     /// Number of assignments completed by `w` in this pool ("worker age"
     /// in Figure 5's sense).
     pub fn age(&self, w: WorkerId) -> u32 {
-        self.members.get(&w).map(|m| m.completed).unwrap_or(0)
+        self.member(w).map_or(0, |m| m.completed)
     }
 }
 

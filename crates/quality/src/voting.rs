@@ -22,9 +22,18 @@ pub fn majority_vote(votes: &[Vote]) -> Option<u32> {
 /// estimates ([`crate::em`]). Returns `None` on empty input or if all
 /// weights are zero.
 pub fn majority_vote_weighted<F: Fn(u32) -> f64>(votes: &[Vote], weight: F) -> Option<u32> {
-    if votes.is_empty() {
-        return None;
+    match votes {
+        [] => None,
+        // A lone ballot (every ballot at quorum 1) wins iff its weight
+        // is positive — exactly what the tally below computes, without
+        // allocating one.
+        [v] => (weight(v.worker).max(0.0) > 0.0).then_some(v.label),
+        _ => tally_winner(votes, weight),
     }
+}
+
+/// The general weighted tally behind [`majority_vote_weighted`].
+fn tally_winner<F: Fn(u32) -> f64>(votes: &[Vote], weight: F) -> Option<u32> {
     // label -> (total weight, first index at which it took its final value)
     let mut tally: Vec<(u32, f64, usize)> = Vec::new();
     for (i, v) in votes.iter().enumerate() {
@@ -57,6 +66,7 @@ pub fn remaining_votes(quorum: u32, received: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(worker: u32, label: u32) -> Vote {
         Vote { worker, label }
@@ -146,6 +156,33 @@ mod tests {
         // track the position, not the numeric value.
         assert_eq!(majority_vote(&[v(0, 7), v(1, 7), v(2, 1), v(3, 1)]), Some(7));
         assert_eq!(majority_vote(&[v(0, 1), v(1, 1), v(2, 7), v(3, 7)]), Some(1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The single-ballot fast path returns what the general tally
+        /// returns, for positive, zero and negative weights alike.
+        #[test]
+        fn single_vote_fast_path_matches_the_tally(
+            worker in 0u32..4,
+            label in 0u32..6,
+            tenths in proptest::collection::vec(-20i32..30, 4..5),
+        ) {
+            let weight = |w: u32| f64::from(tenths[w as usize]) / 10.0;
+            let ballot = [v(worker, label)];
+            prop_assert_eq!(
+                majority_vote_weighted(&ballot, weight),
+                tally_winner(&ballot, weight)
+            );
+        }
+    }
+
+    #[test]
+    fn single_vote_with_nan_weight_matches_the_tally() {
+        let ballot = [v(0, 3)];
+        assert_eq!(majority_vote_weighted(&ballot, |_| f64::NAN), None);
+        assert_eq!(tally_winner(&ballot, |_| f64::NAN), None);
     }
 
     #[test]

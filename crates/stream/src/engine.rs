@@ -159,15 +159,15 @@ where
         if stream.retire {
             let rows = runner.retire_completed();
             since_ckpt += rows.tasks.len();
-            for t in &rows.tasks {
+            for t in rows.tasks {
                 digest.fold_task(t);
                 totals.task(t);
             }
-            for a in &rows.assignments {
+            for a in rows.assignments {
                 digest.fold_assignment(a);
                 totals.assignment(a);
             }
-            for b in &rows.batches {
+            for b in rows.batches {
                 digest.fold_batch(b);
                 totals.batch();
             }
