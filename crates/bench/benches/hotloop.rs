@@ -325,7 +325,9 @@ fn emit_baseline() {
             .with_straggler()
             .with_maintenance()
     };
-    // Warm-up, then measured run.
+    // Warm-up, then measured run. The warm-up leaves this thread's
+    // recycled runner behind, so the row counts a recycled run: the
+    // allocations a sweep cell pays once its thread is warm.
     let _ = run_batched(cfg(), Population::mturk_live(), specs(300, 5), 15);
     let t0 = Instant::now();
     let (report, allocs, bytes) =
@@ -460,7 +462,8 @@ fn emit_baseline() {
     let json = format!(
         "{{\n  \"bench\": \"hotloop\",\n  \"workload\": \"hold pattern: pop earliest event + \
          schedule replacement at now+delta, fixed pending count; runner row is one 300-task \
-         SM+PM run_batched cell\",\n  \"queue_hold\": [\n{rows}  ],\n  \"runner\": {{\n    \
+         SM+PM run_batched cell on a recycled runner (after a warm-up call on the same \
+         thread)\",\n  \"queue_hold\": [\n{rows}  ],\n  \"runner\": {{\n    \
          \"tasks\": 300, \"wall_secs\": {run_secs:.4}, \"alloc_calls\": {allocs}, \
          \"alloc_bytes\": {bytes}, \"labels\": {labels}\n  }},\n  \"obs_overhead\": {{\n    \
          \"disabled_secs\": {disabled_secs:.4}, \"enabled_secs\": {enabled_secs:.4}, \

@@ -141,6 +141,15 @@ impl Maintainer {
         Self::default()
     }
 
+    /// Forget every worker and counter, as [`Self::new`] would, keeping
+    /// the stats table's capacity for the next run.
+    pub(crate) fn reset(&mut self) {
+        let Maintainer { stats, evictions, walkouts } = self;
+        stats.clear();
+        *evictions = 0;
+        *walkouts = 0;
+    }
+
     /// Stats entry for a worker, creating it on first touch.
     pub fn stats_mut(&mut self, w: WorkerId) -> &mut WorkerStats {
         self.stats.get_or_insert_with(w, WorkerStats::default)

@@ -215,12 +215,12 @@ impl RunReport {
 
     /// Summary of per-task completion latencies, seconds.
     pub fn task_latency_summary(&self) -> Summary {
-        Summary::of(&self.tasks.iter().map(|t| t.latency_secs()).collect::<Vec<_>>())
+        Summary::of_vec(self.tasks.iter().map(|t| t.latency_secs()).collect())
     }
 
     /// Summary of per-batch makespans, seconds.
     pub fn batch_makespan_summary(&self) -> Summary {
-        Summary::of(&self.batches.iter().map(|b| b.makespan_secs()).collect::<Vec<_>>())
+        Summary::of_vec(self.batches.iter().map(|b| b.makespan_secs()).collect())
     }
 
     /// Mean of per-batch task-latency standard deviations (Figure 9's

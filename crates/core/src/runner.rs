@@ -15,6 +15,9 @@
 //! Per-worker state lives in id-indexed tables and sorted vectors, and
 //! every per-task buffer is recycled, so the event pump does no map
 //! lookups and — in retire mode — no heap allocation per task.
+//! [`run_batched`] goes one step further and recycles the whole runner:
+//! each thread keeps one, reset in place between calls by the same
+//! initializer [`Runner::new`] uses.
 
 use crate::adversity::{streams, BurstFault, ChurnFault};
 use crate::config::{QcMode, RunConfig};
@@ -34,6 +37,7 @@ use clamshell_sim::rng::Rng;
 use clamshell_sim::stats::OnlineStats;
 use clamshell_sim::time::{SimDuration, SimTime};
 use clamshell_trace::Population;
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Simulation events.
@@ -219,45 +223,21 @@ impl Runner {
     /// Create a runner over `population`. Call [`Runner::warm_up`] before
     /// the first batch.
     pub fn new(cfg: RunConfig, population: Population) -> Self {
-        cfg.validate();
-        // Platform-level faults ride inside the platform; the benign path
-        // constructs the exact pre-adversity platform.
-        let crowd_faults = cfg.adversity.as_ref().map(|a| a.crowd_faults());
-        let platform = match crowd_faults {
-            Some(f) if f.is_active() => {
-                SimPlatform::with_faults(population, cfg.platform.clone(), cfg.seed, f)
-            }
-            _ => SimPlatform::new(population, cfg.platform.clone(), cfg.seed),
-        };
-        let churn_fault = cfg
-            .adversity
-            .as_ref()
-            .and_then(|a| a.churn)
-            .map(|c| (c, fault_stream(cfg.seed, streams::CHURN)));
-        let outage = cfg.adversity.as_ref().and_then(|a| a.outage).map(|o| {
-            OutageSchedule::new(
-                cfg.seed,
-                SimDuration::from_secs_f64(o.mean_uptime_secs),
-                SimDuration::from_secs_f64(o.mean_outage_secs),
-            )
-        });
-        let mut pool = RetainerPool::with_config(cfg.pool_size, cfg.pool);
-        let obs = if cfg.obs.enabled {
-            pool.enable_obs();
-            Some(Box::new(RunObserver::new(&cfg.obs)))
-        } else {
-            None
-        };
-        let pool_idle =
-            cfg.pool.idle_timeout.map(|t| (t, fault_stream(cfg.seed, streams::POOL_IDLE)));
+        let mut runner = Runner::empty(population);
+        runner.reset(cfg);
+        runner
+    }
+
+    /// A runner with every table and buffer empty, drawing from
+    /// `population`; [`Self::reset`] configures it for a run.
+    fn empty(population: Population) -> Self {
+        let cfg = RunConfig::default();
         Runner {
-            rng: Rng::new(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
-            platform,
-            // In-flight events are bounded by the pool (one completion per
-            // busy worker, plus abandon checks and recruitment arrivals).
-            queue: EventQueue::with_capacity(cfg.pool_size * 4 + 16),
-            pool,
+            platform: SimPlatform::new(population, cfg.platform.clone(), cfg.seed),
+            queue: EventQueue::new(),
+            pool: RetainerPool::new(cfg.pool_size),
             maintainer: Maintainer::new(),
+            rng: Rng::new(cfg.seed),
             tasks: Vec::new(),
             assignments: Vec::new(),
             task_base: 0,
@@ -282,14 +262,14 @@ impl Runner {
             last_completion: SimTime::ZERO,
             cfg,
             evicted_this_boundary: 0,
-            churn_fault,
-            outage,
+            churn_fault: None,
+            outage: None,
             workers_departed: 0,
-            pool_idle,
+            pool_idle: None,
             last_outage_end: SimTime::ZERO,
             reserve_expired: 0,
             stale_retired: 0,
-            obs,
+            obs: None,
             obs_outage_resume: None,
             votes_scratch: Vec::new(),
             eligible_scratch: Vec::new(),
@@ -297,6 +277,123 @@ impl Runner {
             finals_scratch: Vec::new(),
             label_arena: Vec::new(),
         }
+    }
+
+    /// The one initializer: configure the runner for a fresh run of
+    /// `cfg` over its platform's population, exactly as a newly built
+    /// runner would start. Every field is set from `cfg` or emptied;
+    /// emptied buffers keep their capacity, and the tasks' response and
+    /// assignment lists go to the spare lists, so a runner recycled by
+    /// [`run_batched`] allocates only where a run outgrows the last one.
+    fn reset(&mut self, cfg: RunConfig) {
+        cfg.validate();
+        self.spare_task_buffers();
+        // Destructured, so a field added to `Runner` cannot be missed.
+        let Runner {
+            cfg: run_cfg,
+            platform,
+            queue,
+            pool,
+            maintainer,
+            rng,
+            tasks: _,
+            assignments,
+            task_base,
+            assignment_base,
+            batch_tasks,
+            batch_index,
+            idle,
+            reserve,
+            reserve_since,
+            recruits_in_flight,
+            abandon_epoch,
+            patience,
+            task_records,
+            assignment_records,
+            batch_stats,
+            retired_tasks,
+            retired_assignments,
+            retired_batches,
+            spare_responses: _,
+            spare_active: _,
+            started,
+            last_completion,
+            evicted_this_boundary,
+            churn_fault,
+            outage,
+            workers_departed,
+            pool_idle,
+            last_outage_end,
+            reserve_expired,
+            stale_retired,
+            obs,
+            obs_outage_resume,
+            votes_scratch,
+            eligible_scratch,
+            kick_scratch,
+            finals_scratch,
+            label_arena,
+        } = self;
+        // Platform-level faults ride inside the platform; the benign path
+        // configures the exact pre-adversity platform.
+        let crowd_faults = cfg.adversity.as_ref().map(|a| a.crowd_faults());
+        platform.reset(cfg.platform.clone(), cfg.seed, crowd_faults);
+        // In-flight events are bounded by the pool (one completion per
+        // busy worker, plus abandon checks and recruitment arrivals).
+        queue.reset(cfg.pool_size * 4 + 16);
+        pool.reset(cfg.pool_size, cfg.pool);
+        *obs = if cfg.obs.enabled {
+            pool.enable_obs();
+            Some(Box::new(RunObserver::new(&cfg.obs)))
+        } else {
+            None
+        };
+        maintainer.reset();
+        *rng = Rng::new(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
+        assignments.clear();
+        *task_base = 0;
+        *assignment_base = 0;
+        batch_tasks.clear();
+        *batch_index = 0;
+        idle.0.clear();
+        reserve.clear();
+        reserve_since.clear();
+        *recruits_in_flight = 0;
+        abandon_epoch.clear();
+        patience.clear();
+        task_records.clear();
+        assignment_records.clear();
+        batch_stats.clear();
+        retired_tasks.clear();
+        retired_assignments.clear();
+        retired_batches.clear();
+        *started = None;
+        *last_completion = SimTime::ZERO;
+        *evicted_this_boundary = 0;
+        *churn_fault = cfg
+            .adversity
+            .as_ref()
+            .and_then(|a| a.churn)
+            .map(|c| (c, fault_stream(cfg.seed, streams::CHURN)));
+        *outage = cfg.adversity.as_ref().and_then(|a| a.outage).map(|o| {
+            OutageSchedule::new(
+                cfg.seed,
+                SimDuration::from_secs_f64(o.mean_uptime_secs),
+                SimDuration::from_secs_f64(o.mean_outage_secs),
+            )
+        });
+        *workers_departed = 0;
+        *pool_idle = cfg.pool.idle_timeout.map(|t| (t, fault_stream(cfg.seed, streams::POOL_IDLE)));
+        *last_outage_end = SimTime::ZERO;
+        *reserve_expired = 0;
+        *stale_retired = 0;
+        *obs_outage_resume = None;
+        votes_scratch.clear();
+        eligible_scratch.clear();
+        kick_scratch.clear();
+        finals_scratch.clear();
+        label_arena.clear();
+        *run_cfg = cfg;
     }
 
     /// Pre-size the task/assignment tables and record vectors for a run
@@ -436,14 +533,27 @@ impl Runner {
     /// Finalize the run: settle outstanding waiting wages and produce the
     /// report.
     pub fn finish(mut self) -> RunReport {
+        self.finish_run()
+    }
+
+    /// [`Self::finish`]'s body. It leaves the runner spent — the pool
+    /// drained, the row vectors moved into the report — which is all
+    /// [`run_batched`] needs before it resets the runner for its next
+    /// run.
+    fn finish_run(&mut self) -> RunReport {
         let now = self.now();
-        let members: Vec<WorkerId> = self.pool.members().map(|(w, _)| w).collect();
-        for w in members {
+        // Snapshot the members into the reused scratch buffer: leaving
+        // mutates the pool.
+        let mut members = std::mem::take(&mut self.kick_scratch);
+        members.clear();
+        members.extend(self.pool.members().map(|(w, _)| w));
+        for &w in &members {
             if let Some(wait) = self.pool.leave(w, now) {
                 self.platform.pay_wait(wait);
                 self.note_pool_leave(now, w);
             }
         }
+        self.kick_scratch = members;
         // Settle reserve wait from the accrual map itself, not the queue:
         // `reserve_since` is the authoritative record of who is owed wait
         // pay, so a future divergence between the two structures can
@@ -465,9 +575,9 @@ impl Runner {
             obs.into_report()
         });
         RunReport {
-            tasks: self.task_records,
-            assignments: self.assignment_records,
-            batches: self.batch_stats,
+            tasks: std::mem::take(&mut self.task_records),
+            assignments: std::mem::take(&mut self.assignment_records),
+            batches: std::mem::take(&mut self.batch_stats),
             cost: *self.platform.ledger(),
             workers_recruited: self.platform.workers_recruited(),
             workers_evicted: self.maintainer.evictions,
@@ -595,13 +705,7 @@ impl Runner {
         );
         self.task_base += self.tasks.len() as u32;
         self.assignment_base += self.assignments.len() as u32;
-        for task in self.tasks.drain(..) {
-            let (mut responses, mut active) = (task.responses, task.active);
-            responses.clear();
-            active.clear();
-            self.spare_responses.push(responses);
-            self.spare_active.push(active);
-        }
+        self.spare_task_buffers();
         self.assignments.clear();
         self.batch_tasks.clear();
         // Every LabelSpan handle lives in the task table just cleared, so
@@ -618,6 +722,19 @@ impl Runner {
             tasks: &self.retired_tasks,
             assignments: &self.retired_assignments,
             batches: &self.retired_batches,
+        }
+    }
+
+    /// Empty the task table, moving each task's `responses`/`active`
+    /// vectors, cleared, onto the spare lists that [`Self::run_batch`]
+    /// hands to new tasks.
+    fn spare_task_buffers(&mut self) {
+        for task in self.tasks.drain(..) {
+            let (mut responses, mut active) = (task.responses, task.active);
+            responses.clear();
+            active.clear();
+            self.spare_responses.push(responses);
+            self.spare_active.push(active);
         }
     }
 
@@ -1397,6 +1514,17 @@ impl BatchSizer {
     }
 }
 
+/// Largest task table a runner may hold and still be kept for the next
+/// [`run_batched`] call on its thread. Every per-run buffer scales with
+/// the task count, so this bounds what a thread retains between runs; a
+/// runner that outgrew it is dropped.
+const MAX_RECYCLED_TASKS: usize = 4096;
+
+thread_local! {
+    /// The runner [`run_batched`] keeps between calls on this thread.
+    static SPARE_RUNNER: Cell<Option<Box<Runner>>> = const { Cell::new(None) };
+}
+
 /// Convenience: run `specs` split into `batch_size` chunks end-to-end.
 ///
 /// With a [`BurstFault`] configured, the
@@ -1404,6 +1532,13 @@ impl BatchSizer {
 /// `[min_batch, max_batch]` on a dedicated fault stream (see
 /// [`BatchSizer`]) — the task stream itself (content and order) is
 /// untouched.
+///
+/// Each thread recycles one runner across calls: the runner is taken
+/// from the thread's slot, reset in place for `cfg` (the same reset
+/// [`Runner::new`] runs), and put back once the report is built, so a
+/// sweep of small cells stops rebuilding the simulator per cell. A run
+/// that panics drops its runner, and so does one whose task table grew
+/// past a fixed bound, which caps the memory a thread keeps.
 pub fn run_batched(
     cfg: RunConfig,
     population: Population,
@@ -1411,7 +1546,14 @@ pub fn run_batched(
     batch_size: usize,
 ) -> RunReport {
     let mut sizer = BatchSizer::new(&cfg, batch_size);
-    let mut runner = Runner::new(cfg, population);
+    let mut runner = match SPARE_RUNNER.try_with(Cell::take).ok().flatten() {
+        Some(mut spare) => {
+            spare.platform.set_population(population);
+            spare
+        }
+        None => Box::new(Runner::empty(population)),
+    };
+    runner.reset(cfg);
     runner.reserve_tasks(specs.len());
     runner.warm_up();
     let mut iter = specs.into_iter().peekable();
@@ -1435,7 +1577,12 @@ pub fn run_batched(
             runner.run_batch(chunk);
         }
     }
-    runner.finish()
+    let report = runner.finish_run();
+    if runner.tasks.capacity() <= MAX_RECYCLED_TASKS {
+        // A thread already tearing down its locals just drops the runner.
+        let _ = SPARE_RUNNER.try_with(|slot| slot.set(Some(runner)));
+    }
+    report
 }
 
 #[cfg(test)]
@@ -2025,5 +2172,144 @@ mod tests {
             hostile.accuracy(),
             benign.accuracy()
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Runner recycling
+    // ------------------------------------------------------------------
+
+    use clamshell_crowd::LatencyInflation;
+    use clamshell_trace::ArchetypeMix;
+
+    /// The config families `run_batched`'s recycled runner must reset
+    /// for: benign, SM, SM+PM, a quorum, every adversity scenario, obs
+    /// and the pool lifecycle knobs.
+    const RECYCLING_KINDS: usize = 16;
+
+    fn recycling_cfg(kind: usize, seed: u64) -> RunConfig {
+        let adv = |a: AdversityConfig| base_cfg(seed).with_adversity(a);
+        let none = AdversityConfig::NONE;
+        match kind {
+            0 => base_cfg(seed),
+            1 => base_cfg(seed).with_straggler(),
+            2 => base_cfg(seed).with_straggler().with_maintenance(),
+            3 => RunConfig { quorum: 3, pool_size: 9, ..base_cfg(seed) },
+            4 => adv(AdversityConfig { churn: Some(ChurnFault::default()), ..none }),
+            5 => adv(AdversityConfig { archetypes: Some(ArchetypeMix::spammers(0.3)), ..none }),
+            6 => adv(AdversityConfig { archetypes: Some(ArchetypeMix::adversarial(0.2)), ..none }),
+            7 => adv(AdversityConfig { archetypes: Some(ArchetypeMix::sleepy(0.3)), ..none }),
+            8 => adv(AdversityConfig {
+                inflation: Some(LatencyInflation { prob: 0.15, mult_median: 8.0, mult_sigma: 0.8 }),
+                ..none
+            }),
+            9 => adv(AdversityConfig {
+                bursts: Some(BurstFault { min_batch: 1, max_batch: 12 }),
+                ..none
+            }),
+            10 => adv(AdversityConfig { outage: Some(OutageFault::default()), ..none }),
+            11 => adv(AdversityConfig {
+                archetypes: Some(ArchetypeMix { spammer: 0.15, adversarial: 0.05, sleepy: 0.1 }),
+                inflation: Some(LatencyInflation { prob: 0.1, mult_median: 6.0, mult_sigma: 0.6 }),
+                churn: Some(ChurnFault { walkout_prob: 0.1, ..Default::default() }),
+                outage: Some(OutageFault { mean_uptime_secs: 180.0, mean_outage_secs: 30.0 }),
+                bursts: Some(BurstFault { min_batch: 2, max_batch: 10 }),
+            })
+            .with_straggler()
+            .with_maintenance(),
+            12 => RunConfig { obs: ObsConfig::on(), ..base_cfg(seed) }
+                .with_straggler()
+                .with_maintenance(),
+            13 => RunConfig {
+                pool: PoolConfig {
+                    min_size: Some(3),
+                    idle_timeout: Some(SimDuration::from_secs(30)),
+                    ..Default::default()
+                },
+                ..base_cfg(seed)
+            }
+            .with_maintenance(),
+            14 => RunConfig {
+                pool: PoolConfig { strategy: CheckoutStrategy::Lifo, ..Default::default() },
+                ..base_cfg(seed)
+            }
+            .with_straggler(),
+            15 => RunConfig {
+                obs: ObsConfig::with_ring(16),
+                pool: PoolConfig { generations: true, ..Default::default() },
+                ..adv(AdversityConfig { outage: Some(OutageFault::default()), ..none })
+            },
+            _ => unreachable!("kind {kind} out of range"),
+        }
+    }
+
+    /// The reference drive: a runner built for this cell alone.
+    fn fresh_drive(cfg: RunConfig, specs: Vec<TaskSpec>, batch_size: usize) -> RunReport {
+        let mut sizer = BatchSizer::new(&cfg, batch_size);
+        let mut r = Runner::new(cfg, pop());
+        r.warm_up();
+        let mut iter = specs.into_iter().peekable();
+        while iter.peek().is_some() {
+            r.run_batch(iter.by_ref().take(sizer.next_size()).collect());
+        }
+        r.finish()
+    }
+
+    fn spare_is_cached() -> bool {
+        SPARE_RUNNER.with(|slot| {
+            let spare = slot.take();
+            let cached = spare.is_some();
+            slot.set(spare);
+            cached
+        })
+    }
+
+    #[test]
+    fn recycled_runs_match_fresh_runners() {
+        // Random sequences of six cells on this test's thread, so every
+        // cell after the first (and after a panic) runs on the recycled
+        // runner. Each kind opens one sequence with a large cell, whose
+        // leftovers (a filled reserve, a pending outage resume) meet the
+        // small cells that follow: one more of its kind, then random ones.
+        let mut rng = Rng::new(0x5EC1_C1E5);
+        for opener in 0..RECYCLING_KINDS {
+            let panic_at = 1 + rng.index(5);
+            for i in 0..6 {
+                if i == panic_at {
+                    // A truth outside the class range panics mid-run: the
+                    // runner must be dropped, not cached half-run.
+                    let cfg = recycling_cfg(rng.index(RECYCLING_KINDS), 900 + opener as u64);
+                    let bad =
+                        vec![TaskSpec::new(vec![0; 5]), TaskSpec::new(vec![cfg.n_classes; 5])];
+                    let outcome = std::panic::catch_unwind(|| run_batched(cfg, pop(), bad, 1));
+                    assert!(outcome.is_err(), "an out-of-range truth must panic");
+                    assert!(!spare_is_cached(), "a panicked run must not be cached");
+                }
+                // The opener's kind runs twice in a row, as in a sweep.
+                let kind = if i < 2 { opener } else { rng.index(RECYCLING_KINDS) };
+                let n = if i == 0 { 200 + rng.index(101) } else { 1 + rng.index(40) };
+                let cfg = recycling_cfg(kind, (opener * 100 + i) as u64);
+                let batch = 1 + rng.index(12);
+                let recycled = run_batched(cfg.clone(), pop(), specs(n, 5), batch);
+                assert!(spare_is_cached(), "run_batched keeps its runner");
+                let fresh = fresh_drive(cfg, specs(n, 5), batch);
+                assert_eq!(recycled.tasks.len(), n);
+                assert_eq!(recycled.obs.is_some(), matches!(kind, 12 | 15));
+                assert!(
+                    recycled == fresh,
+                    "sequence {opener} cell {i} (kind {kind}, {n} tasks, batch {batch}) \
+                     differs from a fresh runner"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_runners_are_dropped_not_cached() {
+        let cfg = || RunConfig { pool_size: 4, ng: 1, ..base_cfg(50) };
+        run_batched(cfg(), pop(), specs(MAX_RECYCLED_TASKS + 1, 1), 64);
+        assert!(!spare_is_cached(), "a runner past the task bound is dropped");
+        let small = run_batched(cfg(), pop(), specs(3, 1), 3);
+        assert!(spare_is_cached());
+        assert_eq!(small, fresh_drive(cfg(), specs(3, 1), 3));
     }
 }

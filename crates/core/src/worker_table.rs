@@ -52,6 +52,11 @@ impl<T> WorkerTable<T> {
         self.slots.get_mut(w.0 as usize)?.take()
     }
 
+    /// Remove every entry, keeping the table's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+    }
+
     /// Present entries in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (WorkerId, &T)> {
         self.slots.iter().enumerate().filter_map(|(ix, v)| Some((WorkerId(ix as u32), v.as_ref()?)))
@@ -76,5 +81,8 @@ mod tests {
         assert_eq!(t.remove(WorkerId(3)), Some('d'));
         assert_eq!(t.get(WorkerId(3)), None, "removal resets the entry");
         assert_eq!(t.iter().count(), 2);
+        t.clear();
+        assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.get(WorkerId(5)), None, "clear removes every entry");
     }
 }

@@ -112,6 +112,30 @@ impl SimPlatform {
         platform
     }
 
+    /// Return to the state [`Self::with_faults`] (or [`Self::new`] when
+    /// `faults` is `None`) builds over the current population: no
+    /// workers, an empty ledger, the seed's streams. The worker list
+    /// keeps its capacity, so a platform recycled across runs stops
+    /// allocating once its high-water mark is reached.
+    pub fn reset(
+        &mut self,
+        config: PlatformConfig,
+        seed: u64,
+        faults: Option<crate::faults::CrowdFaults>,
+    ) {
+        let SimPlatform { population: _, config: c, workers, rng, ledger, faults: f } = self;
+        *c = config;
+        workers.clear();
+        *rng = Rng::new(seed);
+        *ledger = CostLedger::new();
+        *f = faults.filter(|f| f.is_active()).map(|f| crate::faults::FaultState::new(f, seed));
+    }
+
+    /// Draw later workers from `population` (moved in, never cloned).
+    pub fn set_population(&mut self, population: Population) {
+        self.population = population;
+    }
+
     /// Platform configuration.
     pub fn config(&self) -> &PlatformConfig {
         &self.config
@@ -411,5 +435,41 @@ mod tests {
             (0..20).map(|_| p.sample_task_duration(w, 5).as_millis()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn reset_platform_replays_a_fresh_one() {
+        use crate::faults::{CrowdFaults, LatencyInflation};
+        let faults = CrowdFaults {
+            archetypes: Some(clamshell_trace::ArchetypeMix::spammers(0.3)),
+            inflation: Some(LatencyInflation { prob: 0.3, mult_median: 4.0, mult_sigma: 0.5 }),
+        };
+        let draws = |p: &mut SimPlatform| {
+            let mut out = Vec::new();
+            for _ in 0..6 {
+                out.push(p.start_recruitment().as_millis());
+                let w = p.worker_arrives();
+                out.push(w.0 as u64);
+                out.extend((0..4).map(|_| p.sample_task_duration(w, 2).as_millis()));
+                out.extend(p.sample_labels(w, &[0, 1, 1], 2).into_iter().map(u64::from));
+            }
+            out.push(p.ledger().total_micro());
+            out
+        };
+        for f in [None, Some(faults)] {
+            let mut fresh = match f {
+                Some(f) => {
+                    SimPlatform::with_faults(Population::medical(), PlatformConfig::default(), 9, f)
+                }
+                None => SimPlatform::new(Population::medical(), PlatformConfig::default(), 9),
+            };
+            let mut used = platform(3);
+            draws(&mut used);
+            used.set_population(Population::medical());
+            used.reset(PlatformConfig::default(), 9, f);
+            assert_eq!(used.workers_recruited(), 0);
+            assert_eq!(used.population(), fresh.population());
+            assert_eq!(draws(&mut used), draws(&mut fresh));
+        }
     }
 }

@@ -125,6 +125,16 @@ impl RetainerPool {
 
     /// Create a pool with explicit lifecycle knobs.
     pub fn with_config(capacity: usize, config: PoolConfig) -> Self {
+        let mut pool =
+            RetainerPool { capacity, config, generation: 0, members: Vec::new(), obs: None };
+        pool.reset(capacity, config);
+        pool
+    }
+
+    /// Return to the state of `with_config(capacity, config)`: no
+    /// members, generation 0, observability off. The member vector keeps
+    /// its capacity, so a recycled pool allocates nothing.
+    pub fn reset(&mut self, capacity: usize, config: PoolConfig) {
         assert!(capacity > 0, "pool capacity must be positive");
         if let Some(min) = config.min_size {
             assert!(
@@ -132,13 +142,12 @@ impl RetainerPool {
                 "pool min_size must be in 1..=capacity ({min} vs {capacity})"
             );
         }
-        RetainerPool {
-            capacity,
-            config,
-            generation: 0,
-            members: Vec::with_capacity(capacity),
-            obs: None,
-        }
+        self.capacity = capacity;
+        self.config = config;
+        self.generation = 0;
+        self.members.clear();
+        self.members.reserve(capacity);
+        self.obs = None;
     }
 
     /// Position of `w` in `members`, or where it would be inserted.
@@ -562,5 +571,24 @@ mod tests {
             vec![WorkerId(0), WorkerId(2), WorkerId(1)],
             "latest idler first; equal-since ties break toward the higher id"
         );
+    }
+
+    #[test]
+    fn reset_returns_to_a_fresh_pool() {
+        let mut p = RetainerPool::new(4);
+        p.enable_obs();
+        p.join(WorkerId(0), t(0));
+        p.join(WorkerId(3), t(1));
+        p.start_work(WorkerId(3), t(2));
+        p.bump_generation();
+        let cfg = PoolConfig { min_size: Some(1), ..Default::default() };
+        p.reset(2, cfg);
+        assert!(p.is_empty());
+        assert_eq!((p.capacity(), p.fill_target(), p.generation()), (2, 1, 0));
+        assert_eq!(*p.config(), cfg);
+        assert!(p.obs().is_none(), "reset turns observability off");
+        assert!(p.join(WorkerId(5), t(9)));
+        assert!(!p.is_stale(WorkerId(5)));
+        assert_eq!(p.member(WorkerId(5)).unwrap().generation, 0);
     }
 }

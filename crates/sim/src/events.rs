@@ -111,14 +111,32 @@ impl<E> EventQueue<E> {
     /// (one completion per busy worker plus a few bookkeeping events), so
     /// callers that know their pool size avoid the early regrows.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            near: Vec::with_capacity(capacity.min(4 * MAX_CHUNK)),
-            far: Vec::with_capacity(capacity),
+        let mut queue = EventQueue {
+            near: Vec::new(),
+            far: Vec::new(),
             pivot_t: 0,
             width: 16,
             next_seq: 0,
             now: SimTime::ZERO,
-        }
+        };
+        queue.reset(capacity);
+        queue
+    }
+
+    /// Return to the state of `with_capacity(capacity)`: no pending
+    /// events, the clock at [`SimTime::ZERO`], fresh sequence numbers
+    /// and pivot tuning. Buffers keep their capacity (growing to
+    /// `capacity` if smaller), so a recycled queue pops in exactly the
+    /// order a new one would without allocating again.
+    pub fn reset(&mut self, capacity: usize) {
+        self.near.clear();
+        self.far.clear();
+        self.near.reserve(capacity.min(4 * MAX_CHUNK));
+        self.far.reserve(capacity);
+        self.pivot_t = 0;
+        self.width = 16;
+        self.next_seq = 0;
+        self.now = SimTime::ZERO;
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -411,5 +429,35 @@ mod tests {
             assert_eq!((at.as_millis(), s), (et, es));
         }
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn reset_queue_replays_a_fresh_one() {
+        // A queue reset mid-run (pending events, advanced clock, tuned
+        // width) must pop exactly what a new queue pops for the same
+        // schedule: same times, same tie order.
+        let drive = |q: &mut EventQueue<u64>| {
+            for i in 0..300u64 {
+                let t = q.now().as_millis() + (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) % 64;
+                q.schedule(SimTime::from_millis(t), i);
+                if i % 2 == 0 {
+                    q.pop();
+                }
+            }
+            std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.as_millis(), e)).collect::<Vec<_>>()
+        };
+        let fresh = drive(&mut EventQueue::with_capacity(8));
+        let mut used = EventQueue::new();
+        for i in 0..5000u64 {
+            used.schedule(SimTime::from_millis(i * 7 % 1000 + used.now().as_millis()), i);
+            if i % 3 == 0 {
+                used.pop();
+            }
+        }
+        assert!(!used.is_empty() && used.now() > SimTime::ZERO);
+        used.reset(8);
+        assert!(used.is_empty());
+        assert_eq!(used.now(), SimTime::ZERO);
+        assert_eq!(drive(&mut used), fresh);
     }
 }

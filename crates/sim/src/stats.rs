@@ -139,6 +139,13 @@ pub struct Summary {
 impl Summary {
     /// Summarize a sample. Returns a zeroed summary for an empty slice.
     pub fn of(xs: &[f64]) -> Summary {
+        Self::of_vec(xs.to_vec())
+    }
+
+    /// [`Self::of`] over an owned sample, sorted in place instead of
+    /// copied. The mean and deviation are accumulated in input order
+    /// before the sort, so both entry points agree bit for bit.
+    pub fn of_vec(mut xs: Vec<f64>) -> Summary {
         if xs.is_empty() {
             return Summary {
                 n: 0,
@@ -152,22 +159,21 @@ impl Summary {
                 p99: 0.0,
             };
         }
-        let mut sorted: Vec<f64> = xs.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
         let mut acc = OnlineStats::new();
-        for &x in xs {
+        for &x in &xs {
             acc.push(x);
         }
+        xs.sort_by(|a, b| a.total_cmp(b));
         Summary {
             n: xs.len(),
             mean: acc.mean(),
             std: acc.std(),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            p50: percentile_sorted(&sorted, 0.50),
-            p90: percentile_sorted(&sorted, 0.90),
-            p95: percentile_sorted(&sorted, 0.95),
-            p99: percentile_sorted(&sorted, 0.99),
+            min: xs[0],
+            max: xs[xs.len() - 1],
+            p50: percentile_sorted(&xs, 0.50),
+            p90: percentile_sorted(&xs, 0.90),
+            p95: percentile_sorted(&xs, 0.95),
+            p99: percentile_sorted(&xs, 0.99),
         }
     }
 }
@@ -369,6 +375,32 @@ mod tests {
         assert_eq!(s.max, 100.0);
         assert!((s.p50 - 50.5).abs() < 1e-9);
         assert!((s.p90 - 90.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_of_vec_accumulates_in_input_order() {
+        // Wide dynamic range, unsorted: accumulating in sorted order
+        // would round differently, so this pins the input-order contract.
+        let xs: Vec<f64> =
+            (0..64).map(|i| ((i * 37 % 64) as f64 - 20.0) * 10f64.powi(i % 17 - 8)).collect();
+        let mut input = OnlineStats::new();
+        xs.iter().for_each(|&x| input.push(x));
+        let mut sorted_xs = xs.clone();
+        sorted_xs.sort_by(|a, b| a.total_cmp(b));
+        let mut sorted = OnlineStats::new();
+        sorted_xs.iter().for_each(|&x| sorted.push(x));
+        assert_ne!(
+            (input.mean().to_bits(), input.std().to_bits()),
+            (sorted.mean().to_bits(), sorted.std().to_bits()),
+            "the sample must be order-sensitive"
+        );
+        let by_ref = Summary::of(&xs);
+        let owned = Summary::of_vec(xs);
+        assert_eq!(owned.mean.to_bits(), input.mean().to_bits());
+        assert_eq!(owned.std.to_bits(), input.std().to_bits());
+        assert_eq!((owned.min, owned.max), (sorted_xs[0], sorted_xs[63]));
+        assert_eq!(owned.p95.to_bits(), percentile_sorted(&sorted_xs, 0.95).to_bits());
+        assert_eq!(format!("{owned:?}"), format!("{by_ref:?}"));
     }
 
     #[test]

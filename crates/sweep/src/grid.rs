@@ -84,6 +84,14 @@ pub struct JobMeta {
     pub seed: u64,
 }
 
+impl JobMeta {
+    /// How a failure names this cell: `sweep job <index> (<label>, seed
+    /// <seed>)`, enough to rerun the one cell that panicked.
+    pub(crate) fn job_name(&self) -> String {
+        format!("sweep job {} ({}, seed {})", self.index, self.label, self.seed)
+    }
+}
+
 /// Builder for a seed × scenario sweep over
 /// [`run_batched`](clamshell_core::runner::run_batched).
 ///
@@ -391,13 +399,14 @@ impl Grid {
         self.validate()?;
         let mut out: Vec<Option<RunReport>> = Vec::with_capacity(self.n_jobs());
         out.resize_with(self.n_jobs(), || None);
-        let status = pool::execute_streaming(
+        let status = pool::execute_named(
             self.jobs(),
             threads::resolve(threads),
             cancel,
             None,
             |_, _, job: Job| job.run(),
             &mut |i, r| out[i] = Some(r),
+            &|i| self.meta(i).job_name(),
         );
         Ok((out, status))
     }
@@ -455,13 +464,14 @@ impl Grid {
         if let Err(e) = self.validate() {
             panic!("invalid grid: {e}");
         }
-        pool::execute_streaming(
+        pool::execute_named(
             self.jobs(),
             threads::resolve(threads),
             cancel,
             progress,
             |_, _, job: Job| job.run(),
             &mut |index, report| agg.consume(&self.meta(index), &report),
+            &|index| self.meta(index).job_name(),
         )
     }
 }
@@ -484,6 +494,34 @@ mod tests {
         .seeds(&[10, 20, 30])
         .scenario("sm", |c| c.straggler = Some(Default::default()))
         .scenario("nosm", |c| c.straggler = None)
+    }
+
+    /// The message a sweep's re-raised panic carries.
+    fn panic_message(run: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the sweep must panic");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_cell_is_named_by_index_label_and_seed() {
+        // Every "broken" cell fails `RunConfig::validate`; the first is job
+        // 6 (third scenario, first seed) under the one pool variant.
+        let grid = small_grid()
+            .scenario("broken", |c| c.quorum = 0)
+            .pool_variant("fifo", PoolConfig::default());
+        let expected = "sweep job 6 (broken/fifo, seed 10) panicked: quorum must be >= 1";
+        for threads in [1, 4] {
+            assert_eq!(panic_message(|| drop(grid.run_all(Some(threads)))), expected);
+            let mut agg = crate::aggregate::MetricsAggregator::new(
+                grid.n_scenarios(),
+                crate::aggregate::Metric::standard(),
+            );
+            let streamed = panic_message(|| {
+                grid.run_streaming(Some(threads), &mut agg);
+            });
+            assert_eq!(streamed, expected);
+        }
     }
 
     #[test]

@@ -89,6 +89,26 @@ where
     R: Send,
     F: Fn(usize, usize, T) -> R + Sync,
 {
+    execute_named(items, threads, cancel, progress, f, sink, &|index| format!("sweep job {index}"))
+}
+
+/// [`execute_streaming`], naming a panicking job `name(index)` in the
+/// re-raised panic (`<name> panicked: <message>`): the grid layers name
+/// a cell by its global index, label and seed.
+pub(crate) fn execute_named<T, R, F>(
+    items: Vec<T>,
+    threads: usize,
+    cancel: &CancelToken,
+    progress: Option<ProgressFn<'_>>,
+    f: F,
+    sink: &mut dyn FnMut(usize, R),
+    name: &dyn Fn(usize) -> String,
+) -> ExecStatus
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, usize, T) -> R + Sync,
+{
     let total = items.len();
     let workers = threads.max(1).min(total.max(1));
     let jobs = Jobs::new(items, CHUNKS_PER_WORKER * workers);
@@ -145,7 +165,7 @@ where
 
     order.flush_below(guard.failed.load(Ordering::Relaxed));
     if let Some(Failure { index, message }) = failures.into_iter().min_by_key(|f| f.index) {
-        panic!("sweep job {index} panicked: {message}");
+        panic!("{} panicked: {message}", name(index));
     }
     ExecStatus { completed: order.delivered, total, cancelled: cancel.is_cancelled() }
 }

@@ -458,13 +458,14 @@ pub fn run_sharded(
                 }
                 None => None,
             };
-            pool::execute_streaming(
+            pool::execute_named(
                 grid.jobs_range(lo, hi),
                 threads,
                 cancel,
                 shard_progress,
                 |_, _, job: Job| job.run(),
                 &mut |local, report| agg.consume(&grid.meta(lo + local), &report),
+                &|local| grid.meta(lo + local).job_name(),
             )
         };
         completed = lo + status.completed;
@@ -515,6 +516,30 @@ mod tests {
 
     fn manifest_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("clamshell_shard_{tag}.jsonl"))
+    }
+
+    #[test]
+    fn a_panicking_cell_is_named_by_its_global_index() {
+        // Shards of two cells: the first broken cell, job 6, is the first
+        // cell of the fourth shard, so a shard-local index would read 0.
+        let g = grid().scenario("broken", |c| c.quorum = 0);
+        for threads in [1, 4] {
+            let path = manifest_path(&format!("panic_{threads}"));
+            let opts = ShardOptions {
+                shard_size: 2,
+                manifest: path.clone(),
+                resume: false,
+                threads: Some(threads),
+            };
+            let mut agg = fresh_agg(&g);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_sharded(&g, &mut agg, &opts, &CancelToken::new(), None)
+            }))
+            .expect_err("a broken cell must panic the sweep");
+            let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(message, "sweep job 6 (broken, seed 1) panicked: quorum must be >= 1");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     /// The unsharded serial reference fold.
